@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 
 from . import documents
 from .binop import TCONORM, TNORM, classify, validate_uninorm
@@ -20,7 +19,6 @@ from .construct import (
     check_characteristic,
     check_hypotheses,
     construct,
-    reference_karacal_mesiar,
 )
 from .errors import LatuniError, ParseError
 from .fixtures import FIXTURES

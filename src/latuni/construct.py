@@ -7,6 +7,12 @@ Four families:
 * ``clo2-strict`` — the closure variant with the top element annihilating.
 * ``int2-strict`` — the interior variant with the bottom element annihilating.
 
+The interior families are the closure families on the dual lattice.  An
+``int2``/``int2-strict`` spec is checked, partitioned and built as the
+``clo2``/``clo2-strict`` spec of its order dual (:attr:`ConstructionSpec.dual`),
+so only closure logic is written here; reports are restated in the spec's
+own interior terms, and region labels are mirrored back.
+
 ``construct`` always builds the table, even when the characteristic
 conditions fail: that is what lets the verifier exhibit the concrete
 associativity counterexamples showing the conditions are necessary.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .binop import (
     FullBinOpTable,
@@ -24,7 +31,7 @@ from .binop import (
     TNORM,
     strictness_check,
 )
-from .errors import CaseNotCovered, HypothesesNotChecked, MismatchedLattice
+from .errors import HypothesesNotChecked, MismatchedLattice
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, INTERIOR, UnaryOpTable, pointwise_leq_on, range_avoids
 
@@ -44,14 +51,36 @@ class Family(str, enum.Enum):
         return self in (Family.CLO_STRICT, Family.INT_STRICT)
 
 
+_DUAL_FAMILY = {
+    Family.CLO: Family.INT,
+    Family.INT: Family.CLO,
+    Family.CLO_STRICT: Family.INT_STRICT,
+    Family.INT_STRICT: Family.CLO_STRICT,
+}
+
+
 class RegionLabel(enum.Enum):
     ZERO = "zero"
+    LOW_HALFOPEN = "low_halfopen"  # [0,e[
     LOW_OPEN = "low_open"        # ]0,e[
     E = "e"
     INC = "inc"                  # I_e
     HIGH_HALFOPEN = "high_halfopen"  # ]e,1]
     HIGH_OPEN = "high_open"      # ]e,1[
     TOP = "top"
+
+
+# The label of the same set of elements in the dual lattice's partition.
+_MIRROR = {
+    RegionLabel.ZERO: RegionLabel.TOP,
+    RegionLabel.TOP: RegionLabel.ZERO,
+    RegionLabel.LOW_HALFOPEN: RegionLabel.HIGH_HALFOPEN,
+    RegionLabel.HIGH_HALFOPEN: RegionLabel.LOW_HALFOPEN,
+    RegionLabel.LOW_OPEN: RegionLabel.HIGH_OPEN,
+    RegionLabel.HIGH_OPEN: RegionLabel.LOW_OPEN,
+    RegionLabel.E: RegionLabel.E,
+    RegionLabel.INC: RegionLabel.INC,
+}
 
 
 @dataclass(frozen=True)
@@ -81,6 +110,18 @@ class ConstructionSpec:
         if self.boundary.lattice != lat:
             raise MismatchedLattice("boundary operation lattice differs from the spec lattice")
 
+    @cached_property
+    def dual(self) -> "ConstructionSpec":
+        """The same spec on ``lattice.dual()`` (memoised).
+
+        The family swaps clo2 <-> int2 and clo2-strict <-> int2-strict; the
+        operators and the boundary are the same maps, re-certified there.
+        """
+        return ConstructionSpec(
+            _DUAL_FAMILY[self.family], self.lattice.dual(), self.e,
+            self.boundary.dual, self.op_low.dual, self.op_inc.dual,
+        )
+
     # Region shorthands, all in declared element order.
     @property
     def low_open(self):
@@ -102,9 +143,10 @@ class ConstructionSpec:
     def upper_closed(self):
         return self.lattice.interval(IntervalSpec(self.e, self.lattice.top))
 
-    @property
-    def lower_closed(self):
-        return self.lattice.interval(IntervalSpec(self.lattice.bottom, self.e))
+
+def _closure_side(spec: ConstructionSpec) -> ConstructionSpec:
+    """The closure-family spec that decides ``spec``: itself, or its dual."""
+    return spec if spec.family.closure_based else spec.dual
 
 
 @dataclass
@@ -148,43 +190,62 @@ class ConditionReport:
         }
 
 
+# What each row states for the interior families.  Their rows are computed
+# as the closure rows of the dual spec, where "upper" reads "lower", ]0,e[
+# reads ]e,1[, and kinds and roles read flipped.
+_INTERIOR_STATEMENTS = {
+    "operator_kinds": f"both operators are {INTERIOR} operators",
+    "boundary_domain": f"boundary operation is a {TNORM} on the family's boundary interval",
+    "comparability": "second operator below first outside the lower interval",
+    "range_low": "first operator avoids the lower interval on ]e,1[",
+    "range_inc": "second operator avoids the lower interval on the incomparables of e",
+    "boundary_strict": "t-norm stays above the bottom on the open interval",
+}
+_FLIPPED = {CLOSURE: INTERIOR, INTERIOR: CLOSURE, TCONORM: TNORM, TNORM: TCONORM}
+
+
+def _in_own_terms(spec: ConstructionSpec, report: ConditionReport) -> ConditionReport:
+    """Restate a report computed on the closure side in ``spec``'s terms."""
+    if spec.family.closure_based:
+        return report
+    for row in report.rows:
+        row.statement = _INTERIOR_STATEMENTS[row.name]
+        if row.name in ("operator_kinds", "boundary_domain"):
+            row.witnesses = tuple(_FLIPPED[w] for w in row.witnesses)
+    return report
+
+
 def check_hypotheses(spec: ConstructionSpec) -> ConditionReport:
     """Structural preconditions of the spec's family; failures are data."""
-    lat = spec.lattice
-    rows = []
-    if spec.family.closure_based:
-        want_kind, want_role = CLOSURE, TCONORM
-        want_domain = IntervalSpec(spec.e, lat.top)
-        region = [x for x in lat.elements if x not in set(spec.upper_closed)]
-        cmp_ok, cmp_wit = pointwise_leq_on(spec.op_low, spec.op_inc, region)
-        cmp_stmt = "first operator below second outside the upper interval"
-    else:
-        want_kind, want_role = INTERIOR, TNORM
-        want_domain = IntervalSpec(lat.bottom, spec.e)
-        region = [x for x in lat.elements if x not in set(spec.lower_closed)]
-        cmp_ok, cmp_wit = pointwise_leq_on(spec.op_inc, spec.op_low, region)
-        cmp_stmt = "second operator below first outside the lower interval"
-
-    kinds_ok = spec.op_low.kind == want_kind and spec.op_inc.kind == want_kind
-    rows.append(
+    clo = _closure_side(spec)
+    lat = clo.lattice
+    kinds_ok = clo.op_low.kind == CLOSURE and clo.op_inc.kind == CLOSURE
+    dom_ok = clo.boundary.role == TCONORM and clo.boundary.domain == IntervalSpec(clo.e, lat.top)
+    upper = set(clo.upper_closed)
+    cmp_ok, cmp_wit = pointwise_leq_on(
+        clo.op_low, clo.op_inc, [x for x in lat.elements if x not in upper]
+    )
+    rows = [
         ConditionRow(
             "operator_kinds",
-            f"both operators are {want_kind} operators",
+            f"both operators are {CLOSURE} operators",
             kinds_ok,
-            () if kinds_ok else (spec.op_low.kind, spec.op_inc.kind),
-        )
-    )
-    dom_ok = spec.boundary.role == want_role and spec.boundary.domain == want_domain
-    rows.append(
+            () if kinds_ok else (clo.op_low.kind, clo.op_inc.kind),
+        ),
         ConditionRow(
             "boundary_domain",
-            f"boundary operation is a {want_role} on the family's boundary interval",
+            f"boundary operation is a {TCONORM} on the family's boundary interval",
             dom_ok,
-            () if dom_ok else (spec.boundary.role,),
-        )
-    )
-    rows.append(ConditionRow("comparability", cmp_stmt, cmp_ok, cmp_wit))
-    return ConditionReport(rows)
+            () if dom_ok else (clo.boundary.role,),
+        ),
+        ConditionRow(
+            "comparability",
+            "first operator below second outside the upper interval",
+            cmp_ok,
+            cmp_wit,
+        ),
+    ]
+    return _in_own_terms(spec, ConditionReport(rows))
 
 
 def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport | None = None) -> ConditionReport:
@@ -198,78 +259,59 @@ def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport 
     hyp = hypotheses if hypotheses is not None else check_hypotheses(spec)
     if not hyp.passed:
         raise HypothesesNotChecked("construction hypotheses do not hold")
-    lat = spec.lattice
-    rows = []
+    clo = _closure_side(spec)
+    forbidden = IntervalSpec(clo.e, clo.lattice.top)
+    ok_low, wit_low = range_avoids(clo.op_low, clo.low_open, forbidden)
+    ok_inc, wit_inc = range_avoids(clo.op_inc, clo.inc, forbidden)
     notes = {}
-
-    if spec.family.closure_based:
-        forbidden = IntervalSpec(spec.e, lat.top)
-        op_low_region = spec.low_open
-        stmt_low = "first operator avoids the upper interval on ]0,e["
-        stmt_inc = "second operator avoids the upper interval on the incomparables of e"
-        open_boundary = spec.high_open
-    else:
-        forbidden = IntervalSpec(lat.bottom, spec.e)
-        op_low_region = spec.high_open
-        stmt_low = "first operator avoids the lower interval on ]e,1["
-        stmt_inc = "second operator avoids the lower interval on the incomparables of e"
-        open_boundary = spec.low_open
-
-    if spec.family.strict:
+    vacuous = False
+    if clo.family.strict:
         # Strict constructions only consult the operators against the open
         # boundary interval; with it empty, no operator condition binds.
-        interval_empty = not open_boundary
-        notes["open_boundary_interval_empty"] = interval_empty
-    else:
-        interval_empty = False
-
-    ok_low, wit_low = range_avoids(spec.op_low, op_low_region, forbidden)
-    ok_inc, wit_inc = range_avoids(spec.op_inc, spec.inc, forbidden)
-    if interval_empty:
-        rows.append(ConditionRow("range_low", stmt_low, True, wit_low, vacuous=True))
-        rows.append(ConditionRow("range_inc", stmt_inc, True, wit_inc, vacuous=True))
-    else:
-        rows.append(ConditionRow("range_low", stmt_low, ok_low, wit_low))
-        rows.append(ConditionRow("range_inc", stmt_inc, ok_inc, wit_inc))
-
-    if spec.family.strict:
-        strict_ok, strict_wit = strictness_check(spec.boundary)
-        name = "boundary_strict"
-        if spec.family is Family.CLO_STRICT:
-            stmt = "t-conorm stays below the top on the open interval"
-        else:
-            stmt = "t-norm stays above the bottom on the open interval"
+        vacuous = not clo.high_open
+        notes["open_boundary_interval_empty"] = vacuous
+    rows = [
+        ConditionRow(
+            "range_low",
+            "first operator avoids the upper interval on ]0,e[",
+            ok_low or vacuous,
+            wit_low,
+            vacuous,
+        ),
+        ConditionRow(
+            "range_inc",
+            "second operator avoids the upper interval on the incomparables of e",
+            ok_inc or vacuous,
+            wit_inc,
+            vacuous,
+        ),
+    ]
+    if clo.family.strict:
+        strict_ok, strict_wit = strictness_check(clo.boundary)
         rows.append(
-            ConditionRow(name, stmt, strict_ok, strict_wit, vacuous=not open_boundary)
+            ConditionRow(
+                "boundary_strict",
+                "t-conorm stays below the top on the open interval",
+                strict_ok,
+                strict_wit,
+                vacuous,
+            )
         )
-    return ConditionReport(rows, notes)
+    return _in_own_terms(spec, ConditionReport(rows, notes))
 
 
 def region_of(spec: ConstructionSpec, x) -> RegionLabel:
-    """The region of x in the family's case partition of the lattice."""
+    """The region of x in the family's case partition of the lattice.
+
+    An interior family's partition is the mirror of its dual closure
+    family's: [0,e[ is one region, LOW_HALFOPEN, for ``int2``.
+    """
+    if not spec.family.closure_based:
+        return _MIRROR[region_of(spec.dual, x)]
     lat = spec.lattice
     if x == spec.e:
         return RegionLabel.E
-    if spec.family.strict:
-        if x == lat.top:
-            return RegionLabel.TOP
-        if x == lat.bottom:
-            return RegionLabel.ZERO
-        if lat.incomparable(x, spec.e):
-            return RegionLabel.INC
-        if lat.lt(x, spec.e):
-            return RegionLabel.LOW_OPEN
-        return RegionLabel.HIGH_OPEN
-    if spec.family is Family.CLO:
-        if x == lat.bottom:
-            return RegionLabel.ZERO
-        if lat.incomparable(x, spec.e):
-            return RegionLabel.INC
-        if lat.lt(x, spec.e):
-            return RegionLabel.LOW_OPEN
-        return RegionLabel.HIGH_HALFOPEN
-    # int2: the top is part of ]e,1[? no -- split off explicitly.
-    if x == lat.top:
+    if spec.family.strict and x == lat.top:
         return RegionLabel.TOP
     if x == lat.bottom:
         return RegionLabel.ZERO
@@ -277,134 +319,52 @@ def region_of(spec: ConstructionSpec, x) -> RegionLabel:
         return RegionLabel.INC
     if lat.lt(x, spec.e):
         return RegionLabel.LOW_OPEN
-    return RegionLabel.HIGH_OPEN
+    return RegionLabel.HIGH_OPEN if spec.family.strict else RegionLabel.HIGH_HALFOPEN
 
 
-def _clo_cell(spec: ConstructionSpec, x, y, upper, low_open, inc, high_halfopen):
+# The closure families' upper block [e,1], without the strict top.
+_UPPER = {RegionLabel.E, RegionLabel.HIGH_HALFOPEN, RegionLabel.HIGH_OPEN}
+
+
+def _cell(spec: ConstructionSpec, region: dict, x, y):
+    """The closure-family table value at (x, y), keyed by the two regions.
+
+    A strict top annihilates; cells inside the upper block [e,1] take the
+    boundary; e is neutral; an argument a in ]0,e[ or I_e against ]e,1]
+    gives op(a) ^ (a v e), with op_low on ]0,e[ and op_inc on I_e; every
+    other cell is the bottom.
+    """
     lat = spec.lattice
-    if x in upper and y in upper:
-        return spec.boundary(x, y)
-    if y == spec.e and (x in inc or x in low_open):
-        return x
-    if x == spec.e and (y in inc or y in low_open):
-        return y
-    if x in low_open and y in high_halfopen:
-        return lat.meet(spec.op_low(x), lat.join(x, spec.e))
-    if x in high_halfopen and y in low_open:
-        return lat.meet(spec.op_low(y), lat.join(y, spec.e))
-    if x in inc and y in high_halfopen:
-        return lat.meet(spec.op_inc(x), lat.join(x, spec.e))
-    if x in high_halfopen and y in inc:
-        return lat.meet(spec.op_inc(y), lat.join(y, spec.e))
-    return lat.bottom
-
-
-def _int_cell(spec: ConstructionSpec, x, y, lower, high_open, inc, low_halfopen):
-    lat = spec.lattice
-    if x in lower and y in lower:
-        return spec.boundary(x, y)
-    if y == spec.e and (x in inc or x in high_open):
-        return x
-    if x == spec.e and (y in inc or y in high_open):
-        return y
-    if x in inc and y in low_halfopen:
-        return lat.join(spec.op_inc(x), lat.meet(x, spec.e))
-    if x in low_halfopen and y in inc:
-        return lat.join(spec.op_inc(y), lat.meet(y, spec.e))
-    if x in high_open and y in low_halfopen:
-        return lat.join(spec.op_low(x), lat.meet(x, spec.e))
-    if x in low_halfopen and y in high_open:
-        return lat.join(spec.op_low(y), lat.meet(y, spec.e))
-    return lat.top
-
-
-def _clo_strict_cell(spec: ConstructionSpec, x, y, upper_halfopen, low_open, inc, high_open):
-    lat = spec.lattice
-    if x == lat.top or y == lat.top:
+    rx, ry = region[x], region[y]
+    if RegionLabel.TOP in (rx, ry):
         return lat.top
-    if x in upper_halfopen and y in upper_halfopen:
+    if rx in _UPPER and ry in _UPPER:
         return spec.boundary(x, y)
-    if y == spec.e and x != spec.e and x not in high_open:
-        return x
-    if x == spec.e and y != spec.e and y not in high_open:
+    if rx is RegionLabel.E:
         return y
-    if x in low_open and y in high_open:
-        return lat.meet(spec.op_low(x), lat.join(x, spec.e))
-    if x in high_open and y in low_open:
-        return lat.meet(spec.op_low(y), lat.join(y, spec.e))
-    if x in inc and y in high_open:
-        return lat.meet(spec.op_inc(x), lat.join(x, spec.e))
-    if x in high_open and y in inc:
-        return lat.meet(spec.op_inc(y), lat.join(y, spec.e))
+    if ry is RegionLabel.E:
+        return x
+    if rx in _UPPER:  # the rule is symmetric: put the lower argument first
+        x, rx, ry = y, ry, rx
+    if ry in _UPPER and rx in (RegionLabel.LOW_OPEN, RegionLabel.INC):
+        op = spec.op_low if rx is RegionLabel.LOW_OPEN else spec.op_inc
+        return lat.meet(op(x), lat.join(x, spec.e))
     return lat.bottom
-
-
-def _int_strict_cell(spec: ConstructionSpec, x, y, lower_halfopen, high_open, inc, low_open):
-    lat = spec.lattice
-    if x == lat.bottom or y == lat.bottom:
-        return lat.bottom
-    if x in lower_halfopen and y in lower_halfopen:
-        return spec.boundary(x, y)
-    if y == spec.e and x != spec.e and x not in low_open:
-        return x
-    if x == spec.e and y != spec.e and y not in low_open:
-        return y
-    if x in high_open and y in low_open:
-        return lat.join(spec.op_low(x), lat.meet(x, spec.e))
-    if x in low_open and y in high_open:
-        return lat.join(spec.op_low(y), lat.meet(y, spec.e))
-    if x in inc and y in low_open:
-        return lat.join(spec.op_inc(x), lat.meet(x, spec.e))
-    if x in low_open and y in inc:
-        return lat.join(spec.op_inc(y), lat.meet(y, spec.e))
-    return lat.top
 
 
 def construct(spec: ConstructionSpec) -> FullBinOpTable:
     """Build the family's full table cell by cell.
 
-    Does not check the characteristic conditions: when they fail, the
-    returned table fails validate_uninorm with the expected witnesses.
+    An interior spec is built as its dual closure spec: the two tables are
+    the same.  Does not check the characteristic conditions: when they
+    fail, the returned table fails validate_uninorm with the expected
+    witnesses.
     """
-    lat = spec.lattice
-    e = spec.e
-    low_open = set(spec.low_open)
-    inc = set(spec.inc)
-    table = {}
-
-    if spec.family is Family.CLO:
-        upper = set(spec.upper_closed)
-        high_halfopen = set(spec.high_halfopen)
-        for x in lat.elements:
-            for y in lat.elements:
-                table[x, y] = _clo_cell(spec, x, y, upper, low_open, inc, high_halfopen)
-    elif spec.family is Family.INT:
-        lower = set(spec.lower_closed)
-        high_open = set(spec.high_open)
-        low_halfopen = set(lat.interval(IntervalSpec(lat.bottom, e, high_open=True)))
-        for x in lat.elements:
-            for y in lat.elements:
-                table[x, y] = _int_cell(spec, x, y, lower, high_open, inc, low_halfopen)
-    elif spec.family is Family.CLO_STRICT:
-        upper_halfopen = set(lat.interval(IntervalSpec(e, lat.top, high_open=True)))
-        high_open = set(spec.high_open)
-        for x in lat.elements:
-            for y in lat.elements:
-                table[x, y] = _clo_strict_cell(spec, x, y, upper_halfopen, low_open, inc, high_open)
-    elif spec.family is Family.INT_STRICT:
-        lower_halfopen = set(lat.interval(IntervalSpec(lat.bottom, e, low_open=True)))
-        high_open = set(spec.high_open)
-        for x in lat.elements:
-            for y in lat.elements:
-                table[x, y] = _int_strict_cell(spec, x, y, lower_halfopen, high_open, inc, low_open)
-    else:
-        raise CaseNotCovered(f"unknown family {spec.family!r}")
-
-    for x in lat.elements:
-        for y in lat.elements:
-            if (x, y) not in table:
-                raise CaseNotCovered(f"no case produced a value for ({x!r}, {y!r})")
-    return FullBinOpTable(lat, table, neutral=e)
+    clo = _closure_side(spec)
+    els = clo.lattice.elements
+    region = {x: region_of(clo, x) for x in els}
+    table = {(x, y): _cell(clo, region, x, y) for x in els for y in els}
+    return FullBinOpTable(spec.lattice, table, neutral=spec.e)
 
 
 def reference_karacal_mesiar(lat: BoundedLattice, e: str, boundary: PartialBinOpTable, side: str) -> FullBinOpTable:
@@ -462,11 +422,11 @@ def structural_class_predicate(spec: ConstructionSpec) -> bool:
     or an antichain.  Strict families additionally require the same of the
     incomparability region.  Sufficient only, never necessary.
     """
-    lat = spec.lattice
-    side = spec.low_open if spec.family.closure_based else spec.high_open
-    side_ok = len(side) <= 1 or _is_antichain(lat, side)
-    if not spec.family.strict:
+    clo = _closure_side(spec)
+    side = clo.low_open
+    side_ok = len(side) <= 1 or _is_antichain(clo.lattice, side)
+    if not clo.family.strict:
         return side_ok
-    inc = spec.inc
-    inc_ok = len(inc) <= 1 or _is_antichain(lat, inc)
+    inc = clo.inc
+    inc_ok = len(inc) <= 1 or _is_antichain(clo.lattice, inc)
     return side_ok and inc_ok

@@ -20,7 +20,7 @@ import json
 from .binop import FullBinOpTable, PartialBinOpTable, validate_partial
 from .errors import ParseError, ReferenceToUnknownElement
 from .lattice import BoundedLattice, IntervalSpec, build_lattice
-from .unary import UnaryOpTable, validate_unary
+from .unary import CLOSURE, INTERIOR, UnaryOpTable, validate_unary
 
 
 def _load_json(text: str) -> dict:
@@ -39,23 +39,31 @@ def _require_keys(doc: dict, keys) -> None:
             raise ParseError(f"missing required key {key!r}")
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 # -- lattice documents -------------------------------------------------------
 
 def parse_lattice(text: str) -> BoundedLattice:
     doc = _load_json(text)
     _require_keys(doc, ("elements", "covers", "bottom", "top"))
-    elements = list(doc["elements"])
+    elements = doc["elements"]
+    if not _is_string_list(elements) or len(set(elements)) != len(elements):
+        raise ParseError("'elements' must be an array of unique strings")
     known = set(elements)
+    if not isinstance(doc["covers"], list):
+        raise ParseError("'covers' must be an array")
     covers = []
     for pair in doc["covers"]:
-        if len(pair) != 2:
-            raise ParseError(f"cover entry {pair!r} is not a pair")
+        if not _is_string_list(pair) or len(pair) != 2:
+            raise ParseError(f"cover entry {pair!r} is not an array of two strings")
         lo, hi = pair
         if lo not in known or hi not in known:
             raise ReferenceToUnknownElement(f"cover {pair!r} references an unknown element")
         covers.append((lo, hi))
     for key in ("bottom", "top"):
-        if doc[key] not in known:
+        if not isinstance(doc[key], str) or doc[key] not in known:
             raise ReferenceToUnknownElement(f"{key} {doc[key]!r} is not a declared element")
     return build_lattice(elements, covers, doc["bottom"], doc["top"])
 
@@ -76,6 +84,8 @@ def parse_operator(text: str, lat: BoundedLattice) -> UnaryOpTable:
     doc = _load_json(text)
     _require_keys(doc, ("kind",))
     kind = doc["kind"]
+    if kind not in (CLOSURE, INTERIOR):
+        raise ParseError(f"unknown operator kind {kind!r}")
     if "preset" in doc:
         mapping = _expand_preset(doc["preset"], lat)
     elif "map" in doc:

@@ -67,10 +67,6 @@ class HypothesesNotChecked(LatuniError):
     """check_characteristic was called on a spec whose hypotheses fail."""
 
 
-class CaseNotCovered(LatuniError):
-    """Internal bug: the piecewise construction cases missed a cell."""
-
-
 class DomainTooLarge(LatuniError):
     pass
 

@@ -38,7 +38,7 @@ class BoundedLattice:
     joins before any table is trusted.
     """
 
-    __slots__ = ("elements", "covers", "bottom", "top", "_leq", "_meet", "_join", "_index")
+    __slots__ = ("elements", "covers", "bottom", "top", "_leq", "_meet", "_join", "_index", "_dual")
 
     def __init__(self, elements, covers, bottom, top, leq, meet, join):
         object.__setattr__(self, "elements", tuple(elements))
@@ -49,6 +49,7 @@ class BoundedLattice:
         object.__setattr__(self, "_meet", meet)
         object.__setattr__(self, "_join", join)
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.elements)})
+        object.__setattr__(self, "_dual", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BoundedLattice is immutable")
@@ -60,7 +61,7 @@ class BoundedLattice:
         return x in self._index
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, BoundedLattice)
             and self.elements == other.elements
             and self._leq == other._leq
@@ -122,13 +123,19 @@ class BoundedLattice:
         return tuple(x for x in self.elements if self.incomparable(a, x))
 
     def dual(self) -> "BoundedLattice":
-        """Order-reversed lattice: bounds swapped, meet and join exchanged."""
-        return build_lattice(
-            self.elements,
-            [(hi, lo) for lo, hi in self.covers],
-            bottom=self.top,
-            top=self.bottom,
-        )
+        """Order-reversed lattice: bounds swapped, meet and join exchanged.
+
+        Built once from the certified tables and memoised both ways, so
+        ``lat.dual().dual() is lat``.
+        """
+        if self._dual is None:
+            dual = BoundedLattice(
+                self.elements, [(hi, lo) for lo, hi in self.covers], self.top, self.bottom,
+                frozenset((y, x) for x, y in self._leq), self._join, self._meet,
+            )
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
 
 
 def build_lattice(elements, covers, bottom, top) -> BoundedLattice:

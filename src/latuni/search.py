@@ -15,7 +15,6 @@ from typing import Iterator, Optional
 from .binop import (
     FullBinOpTable,
     PartialBinOpTable,
-    TCONORM,
     TNORM,
     validate_partial,
     validate_uninorm,
@@ -59,14 +58,14 @@ def enumerate_unary(lat: BoundedLattice, constraints: SearchConstraints) -> Iter
     if len(lat) > MAX_UNARY_LATTICE:
         raise LatticeTooLarge(f"unary enumeration capped at {MAX_UNARY_LATTICE} elements")
     kind = constraints.kind
+    # The interior operators of lat are the closure operators of its dual,
+    # so one closure search runs on ``order``; leaves are certified on lat.
+    order = lat if kind == CLOSURE else lat.dual()
     els = lat.elements
     n = len(els)
     fixed = constraints.fixed_map()
 
-    if kind == CLOSURE:
-        candidates = {x: [y for y in els if lat.leq(x, y)] for x in els}
-    else:
-        candidates = {x: [y for y in els if lat.leq(y, x)] for x in els}
+    candidates = {x: [y for y in els if order.leq(x, y)] for x in els}
     for x, v in fixed.items():
         candidates[x] = [v] if v in candidates[x] else []
 
@@ -75,6 +74,7 @@ def enumerate_unary(lat: BoundedLattice, constraints: SearchConstraints) -> Iter
     if constraints.range_avoidance:
         reg, forbidden = constraints.range_avoidance
         region = set(reg)
+        # Read on lat: the same elements as the reversed interval of order.
         banned = set(lat.interval(forbidden))
 
     cmp_map = cmp_region = cmp_below = None
@@ -82,33 +82,30 @@ def enumerate_unary(lat: BoundedLattice, constraints: SearchConstraints) -> Iter
         other, reg, direction = constraints.comparability
         cmp_map = dict(other)
         cmp_region = set(reg)
-        cmp_below = direction == "below"
+        # "below" in lat is "above" in the dual order.
+        cmp_below = (direction == "below") == (kind == CLOSURE)
 
     def consistent(assign, x):
         v = assign[x]
         if banned is not None and x in region and v in banned:
             return False
         if cmp_map is not None and x in cmp_region:
-            if cmp_below and not lat.leq(v, cmp_map[x]):
+            if cmp_below and not order.leq(v, cmp_map[x]):
                 return False
-            if not cmp_below and not lat.leq(cmp_map[x], v):
+            if not cmp_below and not order.leq(cmp_map[x], v):
                 return False
         for y in assign:
             if y == x:
                 continue
             # Monotonicity against everything already assigned.
-            if lat.leq(x, y) and not lat.leq(v, assign[y]):
+            if order.leq(x, y) and not order.leq(v, assign[y]):
                 return False
-            if lat.leq(y, x) and not lat.leq(assign[y], v):
+            if order.leq(y, x) and not order.leq(assign[y], v):
                 return False
-            # Join/meet preservation when the combined element is assigned.
-            z = lat.join(x, y) if kind == CLOSURE else lat.meet(x, y)
-            if z in assign:
-                combined = (
-                    lat.join(v, assign[y]) if kind == CLOSURE else lat.meet(v, assign[y])
-                )
-                if assign[z] != combined:
-                    return False
+            # Join preservation when the join is assigned.
+            z = order.join(x, y)
+            if z in assign and assign[z] != order.join(v, assign[y]):
+                return False
         # Partial idempotence: the image must be fixed pointwise.
         if v in assign and assign[v] != v:
             return False

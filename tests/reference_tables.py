@@ -61,3 +61,46 @@ TABLES = {
     "l2": (L2_ORDER, L2_TABLE),
     "l3": (L3_ORDER, L3_TABLE),
 }
+
+
+# Interior-family tables with their operator pairs.  construct defines the
+# interior families through the dual lattice; these frozen cells, each also
+# checked by validate_uninorm, are evidence that does not rest on that
+# definition.
+
+# int2 on l2 with the meet t-norm on [0,e].
+L2_INT2_OP_LOW = dict(zip(L2_ORDER, "0 0 0 m m m m b 1".split()))
+L2_INT2_OP_INC = dict(zip(L2_ORDER, "0 0 0 m m m m 0 m".split()))
+L2_INT2_TABLE = _grid(L2_ORDER, [
+    "0 0 0 m m m m b 1",
+    "0 a a m m m m b 1",
+    "0 a e m k s n b 1",
+    "m m m 1 1 1 1 1 1",
+    "m m k 1 1 1 1 1 1",
+    "m m s 1 1 1 1 1 1",
+    "m m n 1 1 1 1 1 1",
+    "b b b 1 1 1 1 1 1",
+    "1 1 1 1 1 1 1 1 1",
+])
+
+# int2-strict on l3 with the meet t-norm on [0,e].
+L3_INT2_STRICT_OP_LOW = dict(zip(L3_ORDER, "0 0 a a l l l b c t 1".split()))
+L3_INT2_STRICT_OP_INC = dict(zip(L3_ORDER, "0 0 0 0 l l l b c 0 c".split()))
+L3_INT2_STRICT_TABLE = _grid(L3_ORDER, [
+    "0 0 0 0 0 0 0 0 0 0 0",
+    "0 r r r l l l b c t 1",
+    "0 r a a l l l b c t 1",
+    "0 r a e l m n b c t 1",
+    "0 l l l 1 1 1 1 1 1 1",
+    "0 l l m 1 1 1 1 1 1 1",
+    "0 l l n 1 1 1 1 1 1 1",
+    "0 b b b 1 1 1 1 1 1 1",
+    "0 c c c 1 1 1 1 1 1 1",
+    "0 t t t 1 1 1 1 1 1 1",
+    "0 1 1 1 1 1 1 1 1 1 1",
+])
+
+INTERIOR_TABLES = {
+    "l2/int2": ("int2", L2_INT2_OP_LOW, L2_INT2_OP_INC, L2_INT2_TABLE),
+    "l3/int2-strict": ("int2-strict", L3_INT2_STRICT_OP_LOW, L3_INT2_STRICT_OP_INC, L3_INT2_STRICT_TABLE),
+}

@@ -114,22 +114,45 @@ def _family_boundary(fx, family):
     return meet_tnorm(fx.lattice, fx.e)
 
 
+# (admitted pairs, uninorms) of every fixture and family.
+IFF_COUNTS = {
+    ("l1", "clo2"): (4731, 792),
+    ("l1", "clo2-strict"): (4731, 792),
+    ("l1", "int2"): (15012, 4818),
+    ("l1", "int2-strict"): (15012, 4818),
+    ("l2", "clo2"): (3513, 792),
+    ("l2", "clo2-strict"): (3513, 792),
+    ("l2", "int2"): (3513, 792),
+    ("l2", "int2-strict"): (3513, 792),
+    ("l3", "clo2"): (14683, 7210),
+    ("l3", "clo2-strict"): (14683, 7210),
+    ("l3", "int2"): (15363, 504),
+    ("l3", "int2-strict"): (15363, 504),
+}
+
+
 def test_05_characteristic_conditions_are_iff(fx_l1, fx_l2, fx_l3):
     mismatches = 0
     checked = 0
+    counts = {}
     for fx in (fx_l1, fx_l2, fx_l3):
         for family in Family:
             boundary = _family_boundary(fx, family)
+            pairs = uninorms = 0
             for spec, char_pass in enumerate_admissible_pairs(
                 fx.lattice, fx.e, family, boundary
             ):
-                checked += 1
-                if validate_uninorm(construct(spec)).ok != char_pass:
+                pairs += 1
+                valid = validate_uninorm(construct(spec)).ok
+                uninorms += valid
+                if valid != char_pass:
                     mismatches += 1
+            checked += pairs
+            counts[fx.name, family.value] = (pairs, uninorms)
     _verdict(
         5,
         f"characteristic pass equals uninorm validity on all {checked} admissible pairs",
-        checked > 0 and mismatches == 0,
+        checked > 0 and mismatches == 0 and counts == IFF_COUNTS,
     )
 
 

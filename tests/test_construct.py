@@ -2,6 +2,7 @@ import pytest
 
 from latuni import (
     CLOSURE,
+    INTERIOR,
     ConstructionSpec,
     Family,
     FullBinOpTable,
@@ -23,7 +24,7 @@ from latuni import (
     validate_uninorm,
 )
 from latuni.errors import HypothesesNotChecked, MismatchedLattice
-from reference_tables import TABLES
+from reference_tables import INTERIOR_TABLES, TABLES
 
 
 def join_with(lat, k):
@@ -44,6 +45,27 @@ def test_construction_reproduces_reference_tables(name, request):
         if built(x, y) != expected[x, y]
     ]
     assert mismatches == []
+
+
+@pytest.mark.parametrize("key", sorted(INTERIOR_TABLES))
+def test_interior_construction_reproduces_reference_tables(key, request):
+    fx = request.getfixturevalue(f"fx_{key.split('/')[0]}")
+    family, low, inc, expected = INTERIOR_TABLES[key]
+    lat = fx.lattice
+    spec = ConstructionSpec(
+        Family(family), lat, "e", meet_tnorm(lat, "e"),
+        validate_unary(lat, INTERIOR, low), validate_unary(lat, INTERIOR, inc),
+    )
+    built = construct(spec)
+    mismatches = [
+        (x, y, built(x, y), expected[x, y])
+        for x in lat.elements
+        for y in lat.elements
+        if built(x, y) != expected[x, y]
+    ]
+    assert mismatches == []
+    assert check_characteristic(spec).passed
+    assert validate_uninorm(built).ok
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "l3"])
@@ -97,6 +119,35 @@ def test_regions_on_l3_strict(fx_l3):
     assert region_of(spec, "0") is RegionLabel.ZERO
 
 
+def _interior_spec(fx, family, op_low, op_inc):
+    lat = fx.lattice
+    return ConstructionSpec(family, lat, "e", meet_tnorm(lat, "e"), op_low, op_inc)
+
+
+def meet_with(lat, k):
+    return validate_unary(lat, INTERIOR, {x: lat.meet(x, k) for x in lat.elements})
+
+
+def test_regions_on_l1_interior(fx_l1):
+    ident = identity_operator(fx_l1.lattice, INTERIOR)
+    spec = _interior_spec(fx_l1, Family.INT, ident, ident)
+    labels = {x: region_of(spec, x).name for x in fx_l1.lattice.elements}
+    assert labels == {
+        "0": "LOW_HALFOPEN", "a": "LOW_HALFOPEN", "b": "LOW_HALFOPEN", "e": "E",
+        "m": "INC", "k": "INC", "s": "INC", "n": "INC", "j": "HIGH_OPEN", "1": "TOP",
+    }
+
+
+def test_regions_on_l3_strict_interior(fx_l3):
+    ident = identity_operator(fx_l3.lattice, INTERIOR)
+    spec = _interior_spec(fx_l3, Family.INT_STRICT, ident, ident)
+    labels = {x: region_of(spec, x).name for x in fx_l3.lattice.elements}
+    assert labels == {
+        "0": "ZERO", "r": "LOW_OPEN", "a": "LOW_OPEN", "e": "E", "l": "INC",
+        "m": "INC", "n": "INC", "b": "INC", "c": "INC", "t": "HIGH_OPEN", "1": "TOP",
+    }
+
+
 # -- hypotheses and characteristic conditions --------------------------------
 
 def test_hypotheses_fail_when_operators_swapped(fx_l1):
@@ -109,6 +160,82 @@ def test_hypotheses_fail_when_operators_swapped(fx_l1):
     assert not row.passed and row.witnesses[0] == "0"
     with pytest.raises(HypothesesNotChecked):
         check_characteristic(spec)
+
+
+def _row(name, statement, passed, witnesses=(), vacuous=False):
+    return {
+        "name": name, "statement": statement, "passed": passed,
+        "witnesses": list(witnesses), "vacuous": vacuous,
+    }
+
+
+KINDS_ROW = "both operators are interior operators"
+DOMAIN_ROW = "boundary operation is a tnorm on the family's boundary interval"
+CMP_ROW = "second operator below first outside the lower interval"
+LOW_ROW = "first operator avoids the lower interval on ]e,1["
+INC_ROW = "second operator avoids the lower interval on the incomparables of e"
+
+
+@pytest.mark.parametrize("family", [Family.INT, Family.INT_STRICT])
+def test_interior_hypotheses_report_when_operators_swapped(family, fx_l2):
+    _, low, inc, _ = INTERIOR_TABLES["l2/int2"]
+    lat = fx_l2.lattice
+    spec = _interior_spec(
+        fx_l2, family, validate_unary(lat, INTERIOR, inc), validate_unary(lat, INTERIOR, low)
+    )
+    assert check_hypotheses(spec).as_dict() == {
+        "passed": False,
+        "rows": [
+            _row("operator_kinds", KINDS_ROW, True),
+            _row("boundary_domain", DOMAIN_ROW, True),
+            _row("comparability", CMP_ROW, False, ["b", "1"]),
+        ],
+        "notes": {},
+    }
+
+
+def test_interior_hypotheses_report_wrong_kinds_and_role(fx_l2):
+    spec = ConstructionSpec(
+        Family.INT, fx_l2.lattice, "e", fx_l2.tconorm, fx_l2.cl1, fx_l2.cl2
+    )
+    assert check_hypotheses(spec).as_dict() == {
+        "passed": False,
+        "rows": [
+            _row("operator_kinds", KINDS_ROW, False, ["closure", "closure"]),
+            _row("boundary_domain", DOMAIN_ROW, False, ["tconorm"]),
+            _row("comparability", CMP_ROW, False, ["m", "s", "b"]),
+        ],
+        "notes": {},
+    }
+
+
+def test_interior_characteristic_report_fails(fx_l1):
+    op = meet_with(fx_l1.lattice, "e")  # pushes ]e,1[ and I_e into [0,e]
+    spec = _interior_spec(fx_l1, Family.INT, op, op)
+    assert check_characteristic(spec).as_dict() == {
+        "passed": False,
+        "rows": [
+            _row("range_low", LOW_ROW, False, ["j"]),
+            _row("range_inc", INC_ROW, False, ["m", "k", "s", "n"]),
+        ],
+        "notes": {},
+    }
+    assert not validate_uninorm(construct(spec)).ok
+
+
+def test_strict_interior_characteristic_report_fails(fx_l3):
+    op = meet_with(fx_l3.lattice, "e")
+    spec = _interior_spec(fx_l3, Family.INT_STRICT, op, op)
+    assert check_characteristic(spec).as_dict() == {
+        "passed": False,
+        "rows": [
+            _row("range_low", LOW_ROW, False, ["t"]),
+            _row("range_inc", INC_ROW, False, ["l", "m", "n", "b", "c"]),
+            _row("boundary_strict", "t-norm stays above the bottom on the open interval", True),
+        ],
+        "notes": {"open_boundary_interval_empty": False},
+    }
+    assert not validate_uninorm(construct(spec)).ok
 
 
 def test_hypotheses_fail_on_wrong_boundary_domain(fx_l1):
@@ -234,8 +361,6 @@ def test_identity_operators_collapse_to_classical_table(fx_l1):
 
 
 def test_identity_interior_operators_collapse_to_classical_table(fx_l1):
-    from latuni import INTERIOR
-
     lat = fx_l1.lattice
     ident = identity_operator(lat, INTERIOR)
     tnorm = meet_tnorm(lat, "e")

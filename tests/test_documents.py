@@ -183,6 +183,39 @@ def test_cli_bad_usage_is_exit_2(capsys):
     assert cli_main(["no-such-command"]) == 2
 
 
+CHAIN3 = {"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]], "bottom": "0", "top": "1"}
+
+
+@pytest.mark.parametrize(
+    "patch,operator",
+    [
+        ({"elements": [["a"]]}, None),
+        ({"elements": "0a1"}, None),
+        ({"elements": ["0", "a", "a", "1"]}, None),
+        ({"elements": [0, 1], "covers": [[0, 1]], "bottom": 0, "top": 1}, None),
+        ({"covers": 5}, None),
+        ({"covers": [["0", "a", "1"]]}, None),
+        ({"covers": ["0a"]}, None),
+        ({"covers": [["0", 1]]}, None),
+        ({"bottom": ["0"]}, None),
+        ({}, {"kind": "bogus", "preset": "identity"}),
+        ({}, {"kind": ["closure"], "preset": "identity"}),
+    ],
+)
+def test_cli_malformed_document_is_exit_2(tmp_path, capsys, patch, operator):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({**CHAIN3, **patch}))
+    argv = ["validate", "--lattice", str(lattice)]
+    if operator is not None:
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(operator))
+        argv += ["--operator", str(op)]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_cli_construct_matches_library(fx_l1, capsys):
     rc = cli_main(
         [

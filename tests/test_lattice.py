@@ -98,6 +98,20 @@ def test_unknown_element_queries(fx_l1):
 def test_dual_involution(fx_l1):
     lat = fx_l1.lattice
     assert lat.dual().dual() == lat
+    assert lat.dual().dual() is lat and lat.dual() is lat.dual()
+
+
+def test_dual_equals_lattice_built_from_reversed_covers(fx_l1, fx_l3):
+    for lat in (fx_l1.lattice, fx_l3.lattice):
+        rebuilt = build_lattice(
+            lat.elements, [(hi, lo) for lo, hi in lat.covers], lat.top, lat.bottom
+        )
+        dual = lat.dual()
+        assert dual == rebuilt and dual.covers == rebuilt.covers
+        for x in lat.elements:
+            for y in lat.elements:
+                assert dual.meet(x, y) == rebuilt.meet(x, y)
+                assert dual.join(x, y) == rebuilt.join(x, y)
 
 
 def test_dual_swaps_meet_and_join(fx_l2):

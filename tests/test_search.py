@@ -126,6 +126,31 @@ def test_comparability_constraint_filters():
     assert len(constrained) == len(unconstrained)  # the cap is the top map
 
 
+@pytest.mark.parametrize("kind", [CLOSURE, INTERIOR])
+def test_constraints_equal_filtering_both_kinds(kind):
+    lat = n5()
+    every = list(enumerate_unary(lat, SearchConstraints(kind=kind)))
+    region = ("a", "b", "c")
+    for low, high in (("0", "a"), ("b", "1"), ("a", "b")):
+        forbidden = IntervalSpec(low, high)
+        banned = set(lat.interval(forbidden))
+        got = enumerate_unary(lat, SearchConstraints(kind=kind, range_avoidance=(region, forbidden)))
+        want = [op for op in every if not any(op(x) in banned for x in region)]
+        assert [op.mapping for op in got] == [op.mapping for op in want]
+    for other in every:
+        for direction in ("below", "above"):
+            cmp = (tuple(other.mapping.items()), region, direction)
+            got = enumerate_unary(lat, SearchConstraints(kind=kind, comparability=cmp))
+            want = [
+                op for op in every
+                if all(
+                    lat.leq(op(x), other(x)) if direction == "below" else lat.leq(other(x), op(x))
+                    for x in region
+                )
+            ]
+            assert [op.mapping for op in got] == [op.mapping for op in want]
+
+
 def test_unary_guard():
     with pytest.raises(LatticeTooLarge):
         next(iter(enumerate_unary(chain(13), SearchConstraints(kind=CLOSURE))))

@@ -51,6 +51,22 @@ def test_identity_is_closure_and_interior(fx_l1):
         assert all(op(x) == x for x in fx_l1.lattice.elements)
 
 
+def brute_interior_axiom_failure(lat, mapping):
+    """Independent oracle: first violated interior axiom, or None."""
+    f = mapping.__getitem__
+    for x in lat.elements:
+        if not lat.leq(f(x), x):
+            return "IN1"
+    for x in lat.elements:
+        for y in lat.elements:
+            if f(lat.meet(x, y)) != lat.meet(f(x), f(y)):
+                return "IN2"
+    for x in lat.elements:
+        if f(f(x)) != f(x):
+            return "IN3"
+    return None
+
+
 def test_validator_agrees_with_brute_force_on_diamond_maps():
     lat = diamond()
     for values in itertools.product(lat.elements, repeat=4):
@@ -61,6 +77,19 @@ def test_validator_agrees_with_brute_force_on_diamond_maps():
         else:
             with pytest.raises(AxiomViolation):
                 validate_unary(lat, CLOSURE, mapping)
+
+
+def test_interior_validator_agrees_with_brute_force_on_diamond_maps():
+    lat = diamond()
+    for values in itertools.product(lat.elements, repeat=4):
+        mapping = dict(zip(lat.elements, values))
+        expected = brute_interior_axiom_failure(lat, mapping)
+        if expected is None:
+            validate_unary(lat, INTERIOR, mapping)
+        else:
+            with pytest.raises(AxiomViolation) as err:
+                validate_unary(lat, INTERIOR, mapping)
+            assert err.value.axiom == expected
 
 
 def test_violation_carries_named_axiom_and_witness(fx_l1):
