@@ -58,14 +58,16 @@ def main(argv=None):
     families = [Family(f) for f in args.family] if args.family else list(Family)
 
     bad = 0
+    start = time.perf_counter()
     for name in fixtures:
         for family in families:
             bad += sweep(name, family, pool_cap=args.pool_cap)
     if bad:
         print(f"FAILED: {bad} mismatching pairs")
-        return 1
-    print("all sweeps clean: characteristic pass == uninorm validity")
-    return 0
+    else:
+        print("all sweeps clean: characteristic pass == uninorm validity")
+    print(f"total elapsed: {time.perf_counter() - start:.1f}s")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -160,14 +160,24 @@ class ClassMembership:
         }
 
 
-def _check_total(lat: BoundedLattice, elements, table):
-    for x in elements:
-        for y in elements:
-            if (x, y) not in table:
-                raise UnknownElement((x, y))
-            v = table[x, y]
-            if v not in lat:
-                raise UnknownElement(v)
+def _positions(lat: BoundedLattice, rows, table) -> list:
+    """The table on rows x rows as lattice positions, in row-major order.
+
+    Raises UnknownElement((x, y)) for the first missing cell and
+    UnknownElement(v) for the first value outside the lattice, scanning
+    row-major.
+    """
+    pos = lat.positions
+    try:
+        return [pos[table[x, y]] for x in rows for y in rows]
+    except KeyError:
+        for x in rows:
+            for y in rows:
+                if (x, y) not in table:
+                    raise UnknownElement((x, y)) from None
+                if table[x, y] not in pos:
+                    raise UnknownElement(table[x, y]) from None
+        raise
 
 
 def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table) -> PartialBinOpTable:
@@ -178,7 +188,7 @@ def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table
         raise ValueError("partial operation domains must be closed intervals")
     dom = lat.interval(domain)
     table = dict(table)
-    _check_total(lat, dom, table)
+    _positions(lat, dom, table)
     domset = set(dom)
     for x in dom:
         for y in dom:
@@ -225,38 +235,44 @@ def meet_tnorm(lat: BoundedLattice, high: str) -> PartialBinOpTable:
 
 
 def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
-    """Exhaustively check the four uninorm axioms; failures are data."""
+    """Exhaustively check the four uninorm axioms; failures are data.
+
+    The table is read once into lattice positions; every scan then runs
+    row-major over declared element order, so each witness is the first
+    violation in that order.
+    """
     lat = candidate.lattice
     els = lat.elements
-    _check_total(lat, els, candidate.table)
+    n = len(els)
+    t = _positions(lat, els, candidate.table)
     if candidate.neutral not in lat:
         raise UnknownElement(candidate.neutral)
-    t = candidate.table
+    e = lat.positions[candidate.neutral]
+    rows = [t[i * n:i * n + n] for i in range(n)]  # rows[x][y] = t(x, y)
+    cols = [t[j::n] for j in range(n)]  # cols[y][x] = t(x, y)
+    everything = list(range(n))
 
     neutral = AxiomCheck(True)
-    e = candidate.neutral
-    for x in els:
-        if t[e, x] != x or t[x, e] != x:
-            neutral = AxiomCheck(False, (x,))
-            break
+    if rows[e] != everything or cols[e] != everything:
+        x = next(x for x in everything if rows[e][x] != x or cols[e][x] != x)
+        neutral = AxiomCheck(False, (els[x],))
 
     commutative = AxiomCheck(True)
-    for x in els:
-        for y in els:
-            if t[x, y] != t[y, x]:
-                commutative = AxiomCheck(False, (x, y))
-                break
-        if not commutative.ok:
+    for x in everything:
+        if rows[x] != cols[x]:
+            y = _first_difference(rows[x], cols[x])
+            commutative = AxiomCheck(False, (els[x], els[y]))
             break
 
+    # t(x, t(y, z)) is row x read through row y; t(t(x, y), z) is row t(x, y).
     associative = AxiomCheck(True)
-    for x in els:
-        for y in els:
-            for z in els:
-                if t[x, t[y, z]] != t[t[x, y], z]:
-                    associative = AxiomCheck(False, (x, y, z))
-                    break
-            if not associative.ok:
+    for x in everything:
+        rx = rows[x]
+        for y in everything:
+            left = [rx[v] for v in rows[y]]
+            if left != rows[rx[y]]:
+                z = _first_difference(left, rows[rx[y]])
+                associative = AxiomCheck(False, (els[x], els[y], els[z]))
                 break
         if not associative.ok:
             break
@@ -264,14 +280,16 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
     # Monotonicity over comparable pairs only; the second argument is
     # covered through commutativity when the table is commutative, but we
     # scan both sides so the check stands alone.
+    up = lat.up
     monotone = AxiomCheck(True)
-    for x in els:
-        for y in els:
-            if not lat.leq(x, y) or x == y:
+    for x in everything:
+        for y in everything:
+            if x == y or not up[x] >> y & 1:
                 continue
-            for z in els:
-                if not lat.leq(t[x, z], t[y, z]) or not lat.leq(t[z, x], t[z, y]):
-                    monotone = AxiomCheck(False, (x, y, z))
+            rx, ry, cx, cy = rows[x], rows[y], cols[x], cols[y]
+            for z in everything:
+                if not up[rx[z]] >> ry[z] & 1 or not up[cx[z]] >> cy[z] & 1:
+                    monotone = AxiomCheck(False, (els[x], els[y], els[z]))
                     break
             if not monotone.ok:
                 break
@@ -279,6 +297,10 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
             break
 
     return AxiomReport(commutative, associative, monotone, neutral)
+
+
+def _first_difference(a, b) -> int:
+    return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
 def associativity_witnesses(candidate: FullBinOpTable):

@@ -16,13 +16,19 @@ own interior terms, and region labels are mirrored back.
 ``construct`` always builds the table, even when the characteristic
 conditions fail: that is what lets the verifier exhibit the concrete
 associativity counterexamples showing the conditions are necessary.
+
+No spec or table holds a cache: a sweep keeps thousands of specs alive,
+so anything stored per spec is paid that many times.  What depends on the
+order alone (intervals, the cell plan of each neutral element) is
+memoised on the lattice, and what depends on an operator (its dual, its
+map on positions) on the operator.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import product
 
 from .binop import (
     FullBinOpTable,
@@ -83,7 +89,7 @@ _MIRROR = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstructionSpec:
     """Inputs of one construction: family, neutral element, boundary op, operator pair.
 
@@ -110,9 +116,9 @@ class ConstructionSpec:
         if self.boundary.lattice != lat:
             raise MismatchedLattice("boundary operation lattice differs from the spec lattice")
 
-    @cached_property
+    @property
     def dual(self) -> "ConstructionSpec":
-        """The same spec on ``lattice.dual()`` (memoised).
+        """The same spec on ``lattice.dual()``.
 
         The family swaps clo2 <-> int2 and clo2-strict <-> int2-strict; the
         operators and the boundary are the same maps, re-certified there.
@@ -322,38 +328,61 @@ def region_of(spec: ConstructionSpec, x) -> RegionLabel:
     return RegionLabel.HIGH_OPEN if spec.family.strict else RegionLabel.HIGH_HALFOPEN
 
 
-# The closure families' upper block [e,1], without the strict top.
+# The closure families' upper block [e,1], without the strict top, and the
+# regions whose operator values enter the table.
 _UPPER = {RegionLabel.E, RegionLabel.HIGH_HALFOPEN, RegionLabel.HIGH_OPEN}
+_OPERATED = {RegionLabel.LOW_OPEN, RegionLabel.INC}
 
 
-def _cell(spec: ConstructionSpec, region: dict, x, y):
-    """The closure-family table value at (x, y), keyed by the two regions.
+def _plan(spec: ConstructionSpec):
+    """The cell plan of a closure-family spec, memoised on its lattice.
 
-    A strict top annihilates; cells inside the upper block [e,1] take the
-    boundary; e is neutral; an argument a in ]0,e[ or I_e against ]e,1]
-    gives op(a) ^ (a v e), with op_low on ]0,e[ and op_inc on I_e; every
-    other cell is the bottom.
+    The value of a cell is keyed by the regions of its two arguments: a
+    strict top annihilates; cells inside the upper block [e,1] take the
+    boundary; e is neutral, so the cell is the other argument; an argument
+    a in ]0,e[ or I_e against ]e,1] gives the row value of a,
+    op(a) ^ (a v e), with op_low on ]0,e[ and op_inc on I_e; every other
+    cell is the bottom.
+
+    The plan depends on the lattice, e and strictness alone.  Cells are
+    numbered row-major: ``base`` holds each cell's fixed value, or None;
+    ``boundary`` the cells taken from the boundary operation; ``mixed``
+    each (cell, a) taking the row value of a; ``rows`` each (a, region)
+    whose row value is needed.  It holds no cell keys, to stay small on
+    every lattice a sweep visits.
     """
     lat = spec.lattice
-    rx, ry = region[x], region[y]
-    if RegionLabel.TOP in (rx, ry):
-        return lat.top
-    if rx in _UPPER and ry in _UPPER:
-        return spec.boundary(x, y)
-    if rx is RegionLabel.E:
-        return y
-    if ry is RegionLabel.E:
-        return x
-    if rx in _UPPER:  # the rule is symmetric: put the lower argument first
-        x, rx, ry = y, ry, rx
-    if ry in _UPPER and rx in (RegionLabel.LOW_OPEN, RegionLabel.INC):
-        op = spec.op_low if rx is RegionLabel.LOW_OPEN else spec.op_inc
-        return lat.meet(op(x), lat.join(x, spec.e))
-    return lat.bottom
+
+    def make():
+        els = lat.elements
+        region = [region_of(spec, x) for x in els]
+        base, boundary, mixed = [], [], []
+        for x, rx in zip(els, region):
+            for y, ry in zip(els, region):
+                k = len(base)
+                base.append(None)
+                if RegionLabel.TOP in (rx, ry):
+                    base[k] = lat.top
+                elif rx in _UPPER and ry in _UPPER:
+                    boundary.append(k)
+                elif rx is RegionLabel.E:
+                    base[k] = y
+                elif ry is RegionLabel.E:
+                    base[k] = x
+                elif rx in _OPERATED and ry in _UPPER:
+                    mixed.append((k, x))
+                elif ry in _OPERATED and rx in _UPPER:
+                    mixed.append((k, y))
+                else:
+                    base[k] = lat.bottom
+        rows = tuple((a, r) for a, r in zip(els, region) if r in _OPERATED)
+        return tuple(base), tuple(boundary), tuple(mixed), rows
+
+    return lat.derived(("construct", spec.e, spec.family.strict), make)
 
 
 def construct(spec: ConstructionSpec) -> FullBinOpTable:
-    """Build the family's full table cell by cell.
+    """Build the family's full table from the cell plan.
 
     An interior spec is built as its dual closure spec: the two tables are
     the same.  Does not check the characteristic conditions: when they
@@ -361,10 +390,19 @@ def construct(spec: ConstructionSpec) -> FullBinOpTable:
     witnesses.
     """
     clo = _closure_side(spec)
-    els = clo.lattice.elements
-    region = {x: region_of(clo, x) for x in els}
-    table = {(x, y): _cell(clo, region, x, y) for x in els for y in els}
-    return FullBinOpTable(spec.lattice, table, neutral=spec.e)
+    lat = clo.lattice
+    els = lat.elements
+    n = len(els)
+    base, boundary, mixed, rows = _plan(clo)
+    ops = {RegionLabel.LOW_OPEN: clo.op_low, RegionLabel.INC: clo.op_inc}
+    # op(a) ^ (a v e) does not depend on the column: one value per row a.
+    row_value = {a: lat.meet(ops[r](a), lat.join(a, clo.e)) for a, r in rows}
+    values = list(base)
+    for k in boundary:
+        values[k] = clo.boundary(els[k // n], els[k % n])
+    for k, a in mixed:
+        values[k] = row_value[a]
+    return FullBinOpTable(spec.lattice, dict(zip(product(els, repeat=2), values)), neutral=spec.e)
 
 
 def reference_karacal_mesiar(lat: BoundedLattice, e: str, boundary: PartialBinOpTable, side: str) -> FullBinOpTable:

@@ -87,9 +87,13 @@ def parse_operator(text: str, lat: BoundedLattice) -> UnaryOpTable:
     if kind not in (CLOSURE, INTERIOR):
         raise ParseError(f"unknown operator kind {kind!r}")
     if "preset" in doc:
+        if not isinstance(doc["preset"], str):
+            raise ParseError("'preset' must be a string")
         mapping = _expand_preset(doc["preset"], lat)
     elif "map" in doc:
-        mapping = dict(doc["map"])
+        mapping = doc["map"]
+        if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+            raise ParseError("'map' must be an object from element ids to element ids")
         for x, v in mapping.items():
             if x not in lat or v not in lat:
                 raise ReferenceToUnknownElement(
@@ -138,11 +142,17 @@ def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
     doc = _load_json(text)
     _require_keys(doc, ("neutral", "table"))
     neutral = doc["neutral"]
+    if not isinstance(neutral, str):
+        raise ParseError("'neutral' must be a string")
     if neutral not in lat:
         raise ReferenceToUnknownElement(f"neutral {neutral!r} is not a lattice element")
     if "domain" in doc and doc["domain"] is not None:
         dom_doc = doc["domain"]
+        if not isinstance(dom_doc, dict):
+            raise ParseError("'domain' must be an object")
         _require_keys(dom_doc, ("low", "high"))
+        if not _is_string_list([dom_doc["low"], dom_doc["high"]]):
+            raise ParseError("domain 'low' and 'high' must be strings")
         spec = IntervalSpec(dom_doc["low"], dom_doc["high"])
         rows = lat.interval(spec)
     else:
@@ -150,13 +160,19 @@ def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
         rows = lat.elements
     table = {}
     raw = doc["table"]
+    if not isinstance(raw, dict):
+        raise ParseError("'table' must be an object of rows")
     for x in rows:
         if x not in raw:
             raise ParseError(f"table is missing row {x!r}")
+        if not isinstance(raw[x], dict):
+            raise ParseError(f"table row {x!r} must be an object")
         for y in rows:
             if y not in raw[x]:
                 raise ParseError(f"table is missing cell ({x!r}, {y!r})")
             v = raw[x][y]
+            if not isinstance(v, str):
+                raise ParseError(f"table cell ({x!r}, {y!r}) must be a string")
             if v not in lat:
                 raise ReferenceToUnknownElement(
                     f"table cell ({x!r}, {y!r}) = {v!r} references an unknown element"

@@ -1,10 +1,15 @@
 """Finite bounded lattices given by Hasse covers.
 
-Elements are symbolic string ids.  The order is the reflexive-transitive
-closure of the cover relation; meet and join are precomputed into dense
-tables at build time, so every later query is a dict lookup.  Iteration
-order is always the declared element order, which makes witness reporting
-and all exports deterministic.
+Elements are symbolic string ids at the API and positions 0..n-1 inside.
+The order is the reflexive-transitive closure of the cover relation, kept
+as two bitmasks per element: bit j of ``up[i]`` is set when element i is
+below element j, and ``down[i]`` is its transpose.  Meet and join are flat
+row-major tables of positions, ``meets[i * n + j]``.  Every public method
+takes and returns ids at the cost of one index lookup; the per-cell and
+per-triple scans of the other modules read the integer views directly.
+Intervals and other tables that depend on the order alone are memoised
+on the lattice.  Iteration order is always the declared element order,
+which makes witness reporting and all exports deterministic.
 """
 
 from __future__ import annotations
@@ -38,18 +43,23 @@ class BoundedLattice:
     joins before any table is trusted.
     """
 
-    __slots__ = ("elements", "covers", "bottom", "top", "_leq", "_meet", "_join", "_index", "_dual")
+    __slots__ = (
+        "elements", "covers", "bottom", "top",
+        "positions", "up", "down", "meets", "joins", "_dual", "_memo",
+    )
 
-    def __init__(self, elements, covers, bottom, top, leq, meet, join):
+    def __init__(self, elements, covers, bottom, top, positions, up, down, meets, joins):
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "covers", tuple(covers))
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "top", top)
-        object.__setattr__(self, "_leq", leq)
-        object.__setattr__(self, "_meet", meet)
-        object.__setattr__(self, "_join", join)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.elements)})
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "meets", meets)
+        object.__setattr__(self, "joins", joins)
         object.__setattr__(self, "_dual", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("BoundedLattice is immutable")
@@ -58,69 +68,101 @@ class BoundedLattice:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self._index
+        return x in self.positions
 
     def __eq__(self, other):
         return other is self or (
             isinstance(other, BoundedLattice)
             and self.elements == other.elements
-            and self._leq == other._leq
+            and self.up == other.up
         )
 
     def __hash__(self):
-        return hash((self.elements, frozenset(self._leq)))
+        return hash((self.elements, self.up))
 
     def __repr__(self):
         return f"BoundedLattice({list(self.elements)!r})"
 
-    def index(self, x) -> int:
-        self._require(x)
-        return self._index[x]
+    def _unknown(self, *xs) -> UnknownElement:
+        return UnknownElement(next(x for x in xs if x not in self.positions))
 
-    def _require(self, *xs):
-        for x in xs:
-            if x not in self._index:
-                raise UnknownElement(x)
+    def index(self, x) -> int:
+        try:
+            return self.positions[x]
+        except KeyError:
+            raise UnknownElement(x) from None
 
     def leq(self, x, y) -> bool:
-        self._require(x, y)
-        return (x, y) in self._leq
+        pos = self.positions
+        try:
+            return self.up[pos[x]] >> pos[y] & 1 == 1
+        except KeyError:
+            raise self._unknown(x, y) from None
 
     def lt(self, x, y) -> bool:
         return x != y and self.leq(x, y)
 
     def incomparable(self, x, y) -> bool:
-        self._require(x, y)
-        return (x, y) not in self._leq and (y, x) not in self._leq
+        pos = self.positions
+        try:
+            i, j = pos[x], pos[y]
+        except KeyError:
+            raise self._unknown(x, y) from None
+        return (self.up[i] | self.down[i]) >> j & 1 == 0
 
     def meet(self, x, y) -> str:
-        self._require(x, y)
-        return self._meet[x, y]
+        pos = self.positions
+        try:
+            return self.elements[self.meets[pos[x] * len(pos) + pos[y]]]
+        except KeyError:
+            raise self._unknown(x, y) from None
 
     def join(self, x, y) -> str:
-        self._require(x, y)
-        return self._join[x, y]
+        pos = self.positions
+        try:
+            return self.elements[self.joins[pos[x] * len(pos) + pos[y]]]
+        except KeyError:
+            raise self._unknown(x, y) from None
+
+    def derived(self, key, make):
+        """``make()``, computed once per lattice and ``key``.
+
+        Holds tables that depend on the order alone, such as intervals and
+        the cell plans of ``construct``; nothing derived from an operator
+        or a spec.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     def interval(self, spec: IntervalSpec) -> tuple[str, ...]:
         """Elements of the subinterval, in declared element order."""
-        self._require(spec.low, spec.high)
-        if not self.leq(spec.low, spec.high):
+        return self.derived(spec, lambda: self._interval(spec))
+
+    def _interval(self, spec: IntervalSpec) -> tuple[str, ...]:
+        pos = self.positions
+        if spec.low not in pos or spec.high not in pos:
+            raise self._unknown(spec.low, spec.high)
+        lo, hi = pos[spec.low], pos[spec.high]
+        if not self.up[lo] >> hi & 1:
             raise BoundsNotComparable(f"{spec.low!r} is not below {spec.high!r}")
-        out = []
-        for x in self.elements:
-            if not self.leq(spec.low, x) or not self.leq(x, spec.high):
-                continue
-            if spec.low_open and x == spec.low:
-                continue
-            if spec.high_open and x == spec.high:
-                continue
-            out.append(x)
-        return tuple(out)
+        inside = self.up[lo] & self.down[hi]
+        if spec.low_open:
+            inside &= ~(1 << lo)
+        if spec.high_open:
+            inside &= ~(1 << hi)
+        return tuple(x for i, x in enumerate(self.elements) if inside >> i & 1)
 
     def incomparables(self, a) -> tuple[str, ...]:
         """All elements incomparable with ``a``, in declared element order."""
-        self._require(a)
-        return tuple(x for x in self.elements if self.incomparable(a, x))
+
+        def make():
+            i = self.index(a)
+            comparable = self.up[i] | self.down[i]
+            return tuple(x for j, x in enumerate(self.elements) if not comparable >> j & 1)
+
+        return self.derived(("incomparables", a), make)
 
     def dual(self) -> "BoundedLattice":
         """Order-reversed lattice: bounds swapped, meet and join exchanged.
@@ -131,7 +173,7 @@ class BoundedLattice:
         if self._dual is None:
             dual = BoundedLattice(
                 self.elements, [(hi, lo) for lo, hi in self.covers], self.top, self.bottom,
-                frozenset((y, x) for x, y in self._leq), self._join, self._meet,
+                self.positions, self.down, self.up, self.joins, self.meets,
             )
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
@@ -143,61 +185,67 @@ def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
 
     Raises NotAPartialOrder on a cycle, NotBounded when the declared
     bottom/top is not least/greatest, and NotALattice (reporting the first
-    offending pair in declared order) when some pair lacks a unique meet
-    or join.
+    offending pair in declared order, meet before join) when some pair
+    lacks a unique meet or join.
     """
     elements = tuple(elements)
     if not elements:
         raise NotALattice(("", ""), "meet")
     if len(set(elements)) != len(elements):
         raise UnknownElement("duplicate element id")
-    known = set(elements)
+    pos = {x: i for i, x in enumerate(elements)}
     for lo, hi in covers:
-        if lo not in known or hi not in known:
-            raise UnknownElement(lo if lo not in known else hi)
-    if bottom not in known:
+        if lo not in pos or hi not in pos:
+            raise UnknownElement(lo if lo not in pos else hi)
+    if bottom not in pos:
         raise UnknownElement(bottom)
-    if top not in known:
+    if top not in pos:
         raise UnknownElement(top)
 
-    succs = {x: [] for x in elements}
+    n = len(elements)
+    succs = [[] for _ in elements]
     for lo, hi in covers:
-        succs[lo].append(hi)
+        succs[pos[lo]].append(pos[hi])
 
-    # Reflexive-transitive closure by DFS from each element.
-    leq = set()
-    for x in elements:
-        stack, seen = [x], {x}
+    # Reflexive-transitive closure by DFS from each element, as bitmasks.
+    up = []
+    for i in range(n):
+        seen, stack = 1 << i, [i]
         while stack:
-            y = stack.pop()
-            leq.add((x, y))
-            for z in succs[y]:
-                if z not in seen:
-                    seen.add(z)
-                    stack.append(z)
-    for x in elements:
-        for y in elements:
-            if x != y and (x, y) in leq and (y, x) in leq:
-                raise NotAPartialOrder(f"cycle through {x!r} and {y!r}")
+            for k in succs[stack.pop()]:
+                if not seen >> k & 1:
+                    seen |= 1 << k
+                    stack.append(k)
+        up.append(seen)
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    for i in range(n):
+        loop = up[i] & down[i] & ~(1 << i)
+        if loop:
+            j = (loop & -loop).bit_length() - 1  # the first such element
+            raise NotAPartialOrder(f"cycle through {elements[i]!r} and {elements[j]!r}")
 
-    for x in elements:
-        if (bottom, x) not in leq:
+    for j, x in enumerate(elements):
+        if not up[pos[bottom]] >> j & 1:
             raise NotBounded(f"declared bottom {bottom!r} is not below {x!r}")
-        if (x, top) not in leq:
+        if not down[pos[top]] >> j & 1:
             raise NotBounded(f"declared top {top!r} is not above {x!r}")
 
-    meet, join = {}, {}
-    for x in elements:
-        for y in elements:
-            lower = [z for z in elements if (z, x) in leq and (z, y) in leq]
-            glb = [z for z in lower if all((w, z) in leq for w in lower)]
-            if len(glb) != 1:
-                raise NotALattice((x, y), "meet")
-            meet[x, y] = glb[0]
-            upper = [z for z in elements if (x, z) in leq and (y, z) in leq]
-            lub = [z for z in upper if all((z, w) in leq for w in upper)]
-            if len(lub) != 1:
-                raise NotALattice((x, y), "join")
-            join[x, y] = lub[0]
-
-    return BoundedLattice(elements, covers, bottom, top, frozenset(leq), meet, join)
+    # In a partial order an element is fixed by its down-set (and by its
+    # up-set), so the meet of i and j exists exactly when their common
+    # lower bounds are the down-set of some element, and is that element.
+    by_down = {mask: i for i, mask in enumerate(down)}
+    by_up = {mask: i for i, mask in enumerate(up)}
+    meets, joins = [], []
+    for i in range(n):
+        for j in range(n):
+            meet = by_down.get(down[i] & down[j])
+            if meet is None:
+                raise NotALattice((elements[i], elements[j]), "meet")
+            join = by_up.get(up[i] & up[j])
+            if join is None:
+                raise NotALattice((elements[i], elements[j]), "join")
+            meets.append(meet)
+            joins.append(join)
+    return BoundedLattice(
+        elements, covers, bottom, top, pos, tuple(up), tuple(down), tuple(meets), tuple(joins)
+    )

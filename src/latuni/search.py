@@ -20,7 +20,7 @@ from .binop import (
     validate_uninorm,
 )
 from .construct import ConstructionSpec, Family, check_characteristic, check_hypotheses
-from .errors import AxiomViolation, DomainTooLarge, LatticeTooLarge
+from .errors import AxiomViolation, DomainTooLarge, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, INTERIOR, UnaryOpTable, validate_unary
 
@@ -60,74 +60,75 @@ def enumerate_unary(lat: BoundedLattice, constraints: SearchConstraints) -> Iter
     kind = constraints.kind
     # The interior operators of lat are the closure operators of its dual,
     # so one closure search runs on ``order``; leaves are certified on lat.
+    # The search runs on positions; ``assign[i]`` is the image of element i.
     order = lat if kind == CLOSURE else lat.dual()
-    els = lat.elements
+    els, pos = lat.elements, lat.positions
+    up, joins = order.up, order.joins
     n = len(els)
-    fixed = constraints.fixed_map()
 
-    candidates = {x: [y for y in els if order.leq(x, y)] for x in els}
-    for x, v in fixed.items():
-        candidates[x] = [v] if v in candidates[x] else []
+    candidates = [[j for j in range(n) if up[i] >> j & 1] for i in range(n)]
+    for x, v in constraints.fixed_map().items():
+        i = pos[x]
+        candidates[i] = [pos[v]] if pos.get(v) in candidates[i] else []
 
-    banned = None
-    region = None
+    region = banned = 0  # bitmasks of positions
     if constraints.range_avoidance:
         reg, forbidden = constraints.range_avoidance
-        region = set(reg)
+        reg = set(reg)
+        region = sum(1 << i for i, x in enumerate(els) if x in reg)
         # Read on lat: the same elements as the reversed interval of order.
-        banned = set(lat.interval(forbidden))
+        banned = sum(1 << pos[x] for x in lat.interval(forbidden))
 
-    cmp_map = cmp_region = cmp_below = None
+    bound = {}
     if constraints.comparability:
         other, reg, direction = constraints.comparability
-        cmp_map = dict(other)
-        cmp_region = set(reg)
+        other, reg = dict(other), set(reg)
+        bound = {i: lat.index(other[x]) for i, x in enumerate(els) if x in reg}
         # "below" in lat is "above" in the dual order.
         cmp_below = (direction == "below") == (kind == CLOSURE)
 
-    def consistent(assign, x):
-        v = assign[x]
-        if banned is not None and x in region and v in banned:
+    def consistent(assign, i):
+        v = assign[i]
+        if region >> i & 1 and banned >> v & 1:
             return False
-        if cmp_map is not None and x in cmp_region:
-            if cmp_below and not order.leq(v, cmp_map[x]):
+        if i in bound:
+            w = bound[i]
+            if cmp_below and not up[v] >> w & 1:
                 return False
-            if not cmp_below and not order.leq(cmp_map[x], v):
+            if not cmp_below and not up[w] >> v & 1:
                 return False
-        for y in assign:
-            if y == x:
-                continue
+        for j in range(i):
+            w = assign[j]
             # Monotonicity against everything already assigned.
-            if order.leq(x, y) and not order.leq(v, assign[y]):
+            if up[i] >> j & 1 and not up[v] >> w & 1:
                 return False
-            if order.leq(y, x) and not order.leq(assign[y], v):
+            if up[j] >> i & 1 and not up[w] >> v & 1:
                 return False
             # Join preservation when the join is assigned.
-            z = order.join(x, y)
-            if z in assign and assign[z] != order.join(v, assign[y]):
+            z = joins[i * n + j]
+            if z <= i and assign[z] != joins[v * n + w]:
                 return False
         # Partial idempotence: the image must be fixed pointwise.
-        if v in assign and assign[v] != v:
+        if v <= i and assign[v] != v:
             return False
-        if v != x and any(w == x for w in assign.values()):
+        if v != i and i in assign:
             return False
         return True
 
     def rec(i, assign):
         if i == n:
             try:
-                yield validate_unary(lat, kind, assign)
+                yield validate_unary(lat, kind, {x: els[v] for x, v in zip(els, assign)})
             except AxiomViolation:
                 pass
             return
-        x = els[i]
-        for v in candidates[x]:
-            assign[x] = v
-            if consistent(assign, x):
+        for v in candidates[i]:
+            assign.append(v)
+            if consistent(assign, i):
                 yield from rec(i + 1, assign)
-            del assign[x]
+            assign.pop()
 
-    yield from rec(0, {})
+    yield from rec(0, [])
 
 
 def enumerate_admissible_pairs(
@@ -166,45 +167,54 @@ def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: st
     if len(dom) > MAX_BINOP_DOMAIN:
         raise DomainTooLarge(f"binop enumeration capped at {MAX_BINOP_DOMAIN} elements")
     neutral = domain.high if role == TNORM else domain.low
-    cells = [
-        (x, y) for i, x in enumerate(dom) for y in dom[i:]
-        if x != neutral and y != neutral
-    ]
-
-    def rec(i, table):
-        if i == len(cells):
-            try:
-                yield validate_partial(lat, domain, role, table)
-            except AxiomViolation:
-                pass
-            return
-        x, y = cells[i]
-        for v in dom:
-            table[x, y] = v
-            table[y, x] = v
-            if _monotone_so_far(lat, dom, table):
-                yield from rec(i + 1, table)
-        del table[x, y]
-        if (y, x) in table:
-            del table[y, x]
-
-    base = {}
-    for x in dom:
-        base[neutral, x] = x
-        base[x, neutral] = x
-    yield from rec(0, base)
+    for table in _monotone_commutative_tables(lat, dom, neutral):
+        try:
+            yield validate_partial(lat, domain, role, table)
+        except AxiomViolation:
+            pass
 
 
-def _monotone_so_far(lat, dom, table) -> bool:
-    for x in dom:
-        for y in dom:
-            if not lat.leq(x, y):
-                continue
-            for z in dom:
-                a, b = table.get((x, z)), table.get((y, z))
-                if a is not None and b is not None and not lat.leq(a, b):
+def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[dict]:
+    """Every commutative table on ``dom`` with identity ``neutral`` whose
+    partial fillings all stay monotone.
+
+    Depth-first over the cells off the neutral row and column, upper
+    triangle in row-major order, each taking the values of ``dom`` in
+    order; a filling is pruned as soon as it breaks monotonicity in the
+    first argument.  Cells and values are positions in ``dom``.
+    """
+    if neutral not in dom:
+        raise UnknownElement(neutral)
+    m = len(dom)
+    up = [sum(1 << k for k, y in enumerate(dom) if lat.leq(x, y)) for x in dom]
+    # Row offsets of the pairs x < y of dom.
+    pairs = [(i * m, k * m) for i in range(m) for k in range(m) if i != k and up[i] >> k & 1]
+    e = dom.index(neutral)
+    t = [None] * (m * m)
+    for k in range(m):
+        t[e * m + k] = t[k * m + e] = k
+    cells = [(i, j) for i in range(m) for j in range(i, m) if e not in (i, j)]
+
+    def monotone() -> bool:
+        for rx, ry in pairs:
+            for z in range(m):
+                a, b = t[rx + z], t[ry + z]
+                if a is not None and b is not None and not up[a] >> b & 1:
                     return False
-    return True
+        return True
+
+    def rec(c):
+        if c == len(cells):
+            yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
+            return
+        i, j = cells[c]
+        for v in range(m):
+            t[i * m + j] = t[j * m + i] = v
+            if monotone():
+                yield from rec(c + 1)
+        t[i * m + j] = t[j * m + i] = None
+
+    yield from rec(0)
 
 
 def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[FullBinOpTable]:
@@ -215,30 +225,7 @@ def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[FullBinOpTable
     """
     if len(lat) > MAX_UNINORM_LATTICE:
         raise LatticeTooLarge(f"uninorm search capped at {MAX_UNINORM_LATTICE} elements")
-    els = lat.elements
-    cells = [
-        (x, y) for i, x in enumerate(els) for y in els[i:]
-        if x != e and y != e
-    ]
-
-    def rec(i, table):
-        if i == len(cells):
-            candidate = FullBinOpTable(lat, dict(table), neutral=e)
-            if validate_uninorm(candidate).ok:
-                yield candidate
-            return
-        x, y = cells[i]
-        for v in els:
-            table[x, y] = v
-            table[y, x] = v
-            if _monotone_so_far(lat, els, table):
-                yield from rec(i + 1, table)
-        del table[x, y]
-        if (y, x) in table:
-            del table[y, x]
-
-    base = {}
-    for x in els:
-        base[e, x] = x
-        base[x, e] = x
-    yield from rec(0, base)
+    for table in _monotone_commutative_tables(lat, lat.elements, e):
+        candidate = FullBinOpTable(lat, table, neutral=e)
+        if validate_uninorm(candidate).ok:
+            yield candidate

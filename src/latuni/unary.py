@@ -30,6 +30,13 @@ class UnaryOpTable:
     lattice: BoundedLattice
     kind: str
     mapping: dict = field(compare=False)
+    # The map on positions: image[i] is the position of op(elements[i]).
+    # Set once per operator, for the per-spec scans.
+    image: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        pos = self.lattice.positions
+        object.__setattr__(self, "image", tuple(pos[self.mapping[x]] for x in self.lattice.elements))
 
     def __call__(self, x) -> str:
         return self.mapping[x]
@@ -99,9 +106,11 @@ def pointwise_leq_on(op1: UnaryOpTable, op2: UnaryOpTable, region):
     if op1.lattice != op2.lattice:
         raise MismatchedLattice("operators live on different lattices")
     lat = op1.lattice
+    up = lat.up
     region = set(region)
     witnesses = tuple(
-        x for x in lat.elements if x in region and not lat.leq(op1(x), op2(x))
+        x for x, u, v in zip(lat.elements, op1.image, op2.image)
+        if x in region and not up[u] >> v & 1
     )
     return not witnesses, witnesses
 
@@ -111,9 +120,11 @@ def range_avoids(op: UnaryOpTable, region, forbidden: IntervalSpec):
     lat = op.lattice
     if forbidden.low not in lat or forbidden.high not in lat:
         raise MismatchedLattice("forbidden interval references a foreign element")
-    banned = set(lat.interval(forbidden))
+    banned = sum(1 << lat.positions[x] for x in lat.interval(forbidden))
     region = set(region)
-    witnesses = tuple(x for x in lat.elements if x in region and op(x) in banned)
+    witnesses = tuple(
+        x for x, v in zip(lat.elements, op.image) if x in region and banned >> v & 1
+    )
     return not witnesses, witnesses
 
 

@@ -211,9 +211,46 @@ def test_cli_malformed_document_is_exit_2(tmp_path, capsys, patch, operator):
         op.write_text(json.dumps(operator))
         argv += ["--operator", str(op)]
     assert cli_main(argv) == 2
+    _assert_one_error_line(capsys)
+
+
+def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,document",
+    [
+        ("operator", {"kind": "closure", "map": 5}),
+        ("operator", {"kind": "closure", "map": [1]}),
+        ("operator", {"kind": "closure", "map": {"0": "0", "a": ["a"], "1": "1"}}),
+        ("operator", {"kind": "closure", "preset": 5}),
+        ("verify", {"neutral": "a", "table": 5}),
+        ("verify", {"neutral": "a", "table": {"0": 5}}),
+        ("verify", {"neutral": "a", "table": {"0": {"0": ["0"]}}}),
+        ("verify", {"neutral": ["a"], "table": {}}),
+        ("boundary", {"neutral": "a", "domain": 5, "table": {}}),
+        ("boundary", {"neutral": "a", "domain": {"low": 0, "high": "1"}, "table": {}}),
+        ("boundary", {"neutral": "a", "domain": {"low": "a", "high": ["1"]}, "table": {}}),
+    ],
+)
+def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, document):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(CHAIN3))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = {
+        "operator": ["validate", "--lattice", str(lattice), "--operator", str(path)],
+        "verify": ["verify", "--lattice", str(lattice), "--binop", str(path)],
+        "boundary": [
+            "construct", "--family", "km-s", "--lattice", str(lattice),
+            "--e", "a", "--boundary", str(path),
+        ],
+    }[command]
+    assert cli_main(argv) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_cli_construct_matches_library(fx_l1, capsys):
