@@ -54,6 +54,8 @@ def main(argv=None):
         help="cap the operator pool to its first N members",
     )
     args = parser.parse_args(argv)
+    if args.pool_cap is not None and args.pool_cap < 0:
+        parser.error("--pool-cap must be 0 or more")
     fixtures = args.fixture or sorted(FIXTURES)
     families = [Family(f) for f in args.family] if args.family else list(Family)
 

@@ -181,40 +181,42 @@ def _positions(lat: BoundedLattice, rows, table) -> list:
 
 
 def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table) -> PartialBinOpTable:
-    """Certify a table as a t-norm or t-conorm on a closed interval."""
+    """Certify a table as a t-norm or t-conorm on a closed interval.
+
+    Raises UnknownElement (see :func:`_positions`), then OutOfDomainOutput
+    for the first cell leaving the domain, then AxiomViolation for the
+    first failing axiom in the order neutral, commutative, associative,
+    monotone.  The table is read once into positions of the domain; every
+    scan runs row-major over declared element order.
+    """
     if role not in (TNORM, TCONORM):
         raise ValueError(f"role must be {TNORM!r} or {TCONORM!r}")
     if domain.low_open or domain.high_open:
         raise ValueError("partial operation domains must be closed intervals")
     dom = lat.interval(domain)
     table = dict(table)
-    _positions(lat, dom, table)
-    domset = set(dom)
-    for x in dom:
-        for y in dom:
-            if table[x, y] not in domset:
-                raise OutOfDomainOutput(x, y, table[x, y])
-
-    neutral = domain.high if role == TNORM else domain.low
-    for x in dom:
-        if table[neutral, x] != x or table[x, neutral] != x:
-            raise AxiomViolation("neutral", (x,))
-    for x in dom:
-        for y in dom:
-            if table[x, y] != table[y, x]:
-                raise AxiomViolation("commutative", (x, y))
-    for x in dom:
-        for y in dom:
-            for z in dom:
-                if table[x, table[y, z]] != table[table[x, y], z]:
-                    raise AxiomViolation("associative", (x, y, z))
-    for x in dom:
-        for y in dom:
-            if not lat.leq(x, y):
-                continue
-            for z in dom:
-                if not lat.leq(table[x, z], table[y, z]):
-                    raise AxiomViolation("monotone", (x, y, z))
+    m = len(dom)
+    at = [lat.positions[x] for x in dom]
+    local = {p: k for k, p in enumerate(at)}
+    t = _positions(lat, dom, table)
+    try:
+        t = [local[v] for v in t]
+    except KeyError:
+        i = next(i for i, v in enumerate(t) if v not in local)
+        x, y = dom[i // m], dom[i % m]
+        raise OutOfDomainOutput(x, y, table[x, y]) from None
+    rows, cols = _rows_and_columns(t, m)
+    # The order restricted to the domain, as bitmasks of domain positions.
+    up = [sum(1 << k for k, q in enumerate(at) if lat.up[p] >> q & 1) for p in at]
+    e = dom.index(domain.high if role == TNORM else domain.low)
+    if (w := _neutral_witness(rows, cols, e)) is not None:
+        raise AxiomViolation("neutral", tuple(dom[i] for i in w))
+    if (w := _commutative_witness(rows, cols)) is not None:
+        raise AxiomViolation("commutative", tuple(dom[i] for i in w))
+    if (w := _associative_witness(rows)) is not None:
+        raise AxiomViolation("associative", tuple(dom[i] for i in w))
+    if (w := _monotone_witness(up, rows)) is not None:
+        raise AxiomViolation("monotone", tuple(dom[i] for i in w))
     return PartialBinOpTable(lat, domain, role, table)
 
 
@@ -243,60 +245,78 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
     """
     lat = candidate.lattice
     els = lat.elements
-    n = len(els)
     t = _positions(lat, els, candidate.table)
     if candidate.neutral not in lat:
         raise UnknownElement(candidate.neutral)
-    e = lat.positions[candidate.neutral]
-    rows = [t[i * n:i * n + n] for i in range(n)]  # rows[x][y] = t(x, y)
-    cols = [t[j::n] for j in range(n)]  # cols[y][x] = t(x, y)
-    everything = list(range(n))
+    rows, cols = _rows_and_columns(t, len(els))
+    commutative = _commutative_witness(rows, cols)
+    # Monotone in both arguments: the earlier of the first violations in
+    # the rows and in the columns (witnesses compare in scan order).  On a
+    # commutative table the columns are the rows.
+    monotone = _monotone_witness(lat.up, rows)
+    if commutative is not None:
+        found = [w for w in (monotone, _monotone_witness(lat.up, cols)) if w is not None]
+        monotone = min(found, default=None)
 
-    neutral = AxiomCheck(True)
-    if rows[e] != everything or cols[e] != everything:
-        x = next(x for x in everything if rows[e][x] != x or cols[e][x] != x)
-        neutral = AxiomCheck(False, (els[x],))
+    def check(witness) -> AxiomCheck:
+        if witness is None:
+            return AxiomCheck(True)
+        return AxiomCheck(False, tuple(map(els.__getitem__, witness)))
 
-    commutative = AxiomCheck(True)
-    for x in everything:
-        if rows[x] != cols[x]:
-            y = _first_difference(rows[x], cols[x])
-            commutative = AxiomCheck(False, (els[x], els[y]))
-            break
+    return AxiomReport(
+        check(commutative),
+        check(_associative_witness(rows)),
+        check(monotone),
+        check(_neutral_witness(rows, cols, lat.positions[candidate.neutral])),
+    )
 
+
+# The axiom scans shared by validate_uninorm and validate_partial.  They
+# read a table on positions 0..m-1 as its rows (rows[x][y] = t(x, y)) and
+# columns (cols[y][x] = t(x, y)) and return the first witness, as
+# positions, or None.
+
+def _rows_and_columns(t, m):
+    return [t[i * m:i * m + m] for i in range(m)], [t[j::m] for j in range(m)]
+
+
+def _neutral_witness(rows, cols, e):
+    everything = list(range(len(rows)))
+    if rows[e] == everything and cols[e] == everything:
+        return None
+    return (next(x for x in everything if rows[e][x] != x or cols[e][x] != x),)
+
+
+def _commutative_witness(rows, cols):
+    for x, (row, col) in enumerate(zip(rows, cols)):
+        if row != col:
+            return x, _first_difference(row, col)
+    return None
+
+
+def _associative_witness(rows):
     # t(x, t(y, z)) is row x read through row y; t(t(x, y), z) is row t(x, y).
-    associative = AxiomCheck(True)
-    for x in everything:
-        rx = rows[x]
-        for y in everything:
-            left = [rx[v] for v in rows[y]]
+    for x, rx in enumerate(rows):
+        for y, ry in enumerate(rows):
+            left = [rx[v] for v in ry]
             if left != rows[rx[y]]:
-                z = _first_difference(left, rows[rx[y]])
-                associative = AxiomCheck(False, (els[x], els[y], els[z]))
-                break
-        if not associative.ok:
-            break
+                return x, y, _first_difference(left, rows[rx[y]])
+    return None
 
-    # Monotonicity over comparable pairs only; the second argument is
-    # covered through commutativity when the table is commutative, but we
-    # scan both sides so the check stands alone.
-    up = lat.up
-    monotone = AxiomCheck(True)
+
+def _monotone_witness(up, rows):
+    """Monotonicity in the first argument over the pairs x < y, where bit y
+    of ``up[x]`` is set when x <= y; on the columns, in the second."""
+    everything = range(len(rows))
     for x in everything:
         for y in everything:
             if x == y or not up[x] >> y & 1:
                 continue
-            rx, ry, cx, cy = rows[x], rows[y], cols[x], cols[y]
+            rx, ry = rows[x], rows[y]
             for z in everything:
-                if not up[rx[z]] >> ry[z] & 1 or not up[cx[z]] >> cy[z] & 1:
-                    monotone = AxiomCheck(False, (els[x], els[y], els[z]))
-                    break
-            if not monotone.ok:
-                break
-        if not monotone.ok:
-            break
-
-    return AxiomReport(commutative, associative, monotone, neutral)
+                if not up[rx[z]] >> ry[z] & 1:
+                    return x, y, z
+    return None
 
 
 def _first_difference(a, b) -> int:

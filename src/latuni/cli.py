@@ -1,13 +1,16 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error.  With
---json, machine-readable reports go to stdout; human-readable summaries
-otherwise.  All output is byte-deterministic for fixed inputs.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error or an
+argument the library rejects (a bound as the neutral element, a negative
+pool cap).  With --json, machine-readable reports go to stdout;
+human-readable summaries otherwise.  All output is byte-deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +23,7 @@ from .construct import (
     check_hypotheses,
     construct,
 )
-from .errors import LatuniError, ParseError
+from .errors import InvalidArgument, LatuniError, ParseError
 from .fixtures import FIXTURES
 from .lattice import IntervalSpec
 from .search import (
@@ -261,15 +264,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser shared by every ``cli_main`` call of the process.
+
+    Built on first use, not at import: building it costs many times what
+    parsing one command line does, and parsing leaves it unchanged.
+    """
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatuniError as exc:

@@ -37,7 +37,7 @@ from .binop import (
     TNORM,
     strictness_check,
 )
-from .errors import HypothesesNotChecked, MismatchedLattice
+from .errors import HypothesesNotChecked, InvalidArgument, MismatchedLattice
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, INTERIOR, UnaryOpTable, pointwise_leq_on, range_avoids
 
@@ -109,7 +109,7 @@ class ConstructionSpec:
         if self.e not in lat:
             raise MismatchedLattice(f"neutral element {self.e!r} not in the lattice")
         if self.e in (lat.bottom, lat.top):
-            raise ValueError("the neutral element must be strictly between the bounds")
+            raise InvalidArgument("the neutral element must be strictly between the bounds")
         for op in (self.op_low, self.op_inc):
             if op.lattice != lat:
                 raise MismatchedLattice("operator lattice differs from the spec lattice")

@@ -3,7 +3,7 @@
 Three document kinds:
 
 * lattice document: ``{"elements": [...], "covers": [[lo, hi], ...],
-  "bottom": id, "top": id}``
+  "bottom": id, "top": id}``, each cover a Hasse edge listed once
 * operator document: ``{"kind": "closure"|"interior", "map": {id: id}}``
   or ``{"kind": ..., "preset": "identity"|"join-with:<k>"|"meet-with:<k>"}``
 * binop document: ``{"neutral": id, "domain": {"low": id, "high": id}?,
@@ -62,10 +62,20 @@ def parse_lattice(text: str) -> BoundedLattice:
         if lo not in known or hi not in known:
             raise ReferenceToUnknownElement(f"cover {pair!r} references an unknown element")
         covers.append((lo, hi))
+    if len(set(covers)) != len(covers):
+        pair = next(c for i, c in enumerate(covers) if c in covers[:i])
+        raise ParseError(f"cover {list(pair)!r} is repeated")
     for key in ("bottom", "top"):
         if not isinstance(doc[key], str) or doc[key] not in known:
             raise ReferenceToUnknownElement(f"{key} {doc[key]!r} is not a declared element")
-    return build_lattice(elements, covers, doc["bottom"], doc["top"])
+    lat = build_lattice(elements, covers, doc["bottom"], doc["top"])
+    # A cover is a Hasse edge when nothing lies strictly between its ends:
+    # the interval [lo, hi] holds exactly two elements.
+    pos = lat.positions
+    for lo, hi in covers:
+        if (lat.up[pos[lo]] & lat.down[pos[hi]]).bit_count() != 2:
+            raise ParseError(f"cover {[lo, hi]!r} is not a Hasse edge")
+    return lat
 
 
 def serialize_lattice(lat: BoundedLattice) -> str:

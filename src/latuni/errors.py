@@ -75,6 +75,11 @@ class LatticeTooLarge(LatuniError):
     pass
 
 
+class InvalidArgument(LatuniError, ValueError):
+    """An argument outside the values a call accepts, such as a bound as
+    the neutral element or a negative pool cap."""
+
+
 class ParseError(LatuniError):
     def __init__(self, message, line=None, column=None):
         self.line = line

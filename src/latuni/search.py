@@ -10,6 +10,7 @@ emitted.  Correctness over speed; hard size guards keep runtimes sane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .binop import (
@@ -20,7 +21,7 @@ from .binop import (
     validate_uninorm,
 )
 from .construct import ConstructionSpec, Family, check_characteristic, check_hypotheses
-from .errors import AxiomViolation, DomainTooLarge, LatticeTooLarge, UnknownElement
+from .errors import AxiomViolation, DomainTooLarge, InvalidArgument, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, INTERIOR, UnaryOpTable, validate_unary
 
@@ -143,14 +144,13 @@ def enumerate_admissible_pairs(
 
     Yields (spec, characteristic_pass) in lexicographic pool order.  The
     operator pool may be capped (first pool_cap operators in enumeration
-    order) to bound quadratic pair growth on larger lattices.
+    order) to bound quadratic pair growth on larger lattices; a cap of 0
+    yields nothing and a negative cap raises InvalidArgument, a ValueError.
     """
+    if pool_cap is not None and pool_cap < 0:
+        raise InvalidArgument(f"pool_cap must be 0 or more, got {pool_cap}")
     kind = CLOSURE if family.closure_based else INTERIOR
-    pool = []
-    for op in enumerate_unary(lat, SearchConstraints(kind=kind)):
-        pool.append(op)
-        if pool_cap is not None and len(pool) >= pool_cap:
-            break
+    pool = list(islice(enumerate_unary(lat, SearchConstraints(kind=kind)), pool_cap))
     for op_low in pool:
         for op_inc in pool:
             spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)

@@ -31,12 +31,7 @@ class UnaryOpTable:
     kind: str
     mapping: dict = field(compare=False)
     # The map on positions: image[i] is the position of op(elements[i]).
-    # Set once per operator, for the per-spec scans.
-    image: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        pos = self.lattice.positions
-        object.__setattr__(self, "image", tuple(pos[self.mapping[x]] for x in self.lattice.elements))
+    image: tuple = field(compare=False, repr=False)
 
     def __call__(self, x) -> str:
         return self.mapping[x]
@@ -76,25 +71,36 @@ def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
             raise UnknownElement(v if x in lat else x)
 
     # One check serves both kinds: an interior operator is a closure
-    # operator of the dual lattice.  Only the axiom names differ.
+    # operator of the dual lattice.  Only the axiom names differ.  Axiom 1
+    # asks the order once per element; the other scans run on positions.
+    # All go in declared element order, so each witness is the first
+    # violation in that order.
     order, name = (lat, "CL") if kind == CLOSURE else (lat.dual(), "IN")
-    f = mapping.__getitem__
-    for x in order.elements:
-        if not order.leq(x, f(x)):
-            raise AxiomViolation(f"{name}1", (x,))
-    for x in order.elements:
-        for y in order.elements:
-            if f(order.join(x, y)) != order.join(f(x), f(y)):
-                raise AxiomViolation(f"{name}2", (x, y))
-    for x in order.elements:
-        if f(f(x)) != f(x):
-            raise AxiomViolation(f"{name}3", (x,))
+    els, up, joins = lat.elements, order.up, order.joins
+    n = len(els)
+    f = tuple(lat.positions[mapping[x]] for x in els)
+    everything = range(n)
+    for x in everything:
+        if not order.leq(els[x], els[f[x]]):
+            raise AxiomViolation(f"{name}1", (els[x],))
+    for x in everything:
+        # f(x v y) and f(x) v f(y), for every y.
+        left = [f[z] for z in joins[x * n:x * n + n]]
+        row = joins[f[x] * n:f[x] * n + n]
+        right = [row[v] for v in f]
+        if left != right:
+            y = next(y for y in everything if left[y] != right[y])
+            raise AxiomViolation(f"{name}2", (els[x], els[y]))
+    for x in everything:
+        if f[f[x]] != f[x]:
+            raise AxiomViolation(f"{name}3", (els[x],))
     # Monotonicity follows from axiom 2; re-checked directly as a guard.
-    for x in order.elements:
-        for y in order.elements:
-            if order.leq(x, y) and not order.leq(f(x), f(y)):
-                raise AxiomViolation(f"{name}4", (x, y))
-    return UnaryOpTable(lat, kind, mapping)
+    for x in everything:
+        below, above = up[x], up[f[x]]
+        for y in everything:
+            if below >> y & 1 and not above >> f[y] & 1:
+                raise AxiomViolation(f"{name}4", (els[x], els[y]))
+    return UnaryOpTable(lat, kind, mapping, f)
 
 
 def identity_operator(lat: BoundedLattice, kind: str) -> UnaryOpTable:

@@ -1,12 +1,20 @@
 """Naive string-keyed references for the integer lattice kernel.
 
 The order is a set of id pairs, meets and joins are found by scanning
-every element (O(n^4)), and the uninorm axioms are checked by dict
-lookups on the table.  Nothing here uses ``latuni.lattice`` or
-``latuni.binop``; ``test_references.py`` compares the two.
+every element (O(n^4)), and the operator, t-(co)norm and uninorm axioms
+are checked by dict lookups on the map or table.  Nothing here uses
+``latuni.lattice``, ``latuni.unary`` or ``latuni.binop``;
+``test_references.py`` compares the two.
 """
 
-from latuni.errors import NotALattice, NotAPartialOrder, NotBounded, UnknownElement
+from latuni.errors import (
+    AxiomViolation,
+    NotALattice,
+    NotAPartialOrder,
+    NotBounded,
+    OutOfDomainOutput,
+    UnknownElement,
+)
 
 
 def naive_lattice(elements, covers, bottom, top):
@@ -99,3 +107,87 @@ def naive_uninorm_report(elements, leq, t, e) -> dict:
             ("neutral", neutral),
         )
     }
+
+
+def naive_validate_unary(elements, leq, meet, join, kind, mapping) -> dict:
+    """The checks of ``validate_unary``, in its order, on the naive lattice.
+
+    Returns the map; raises UnknownElement for a missing or unknown id and
+    AxiomViolation for the first failing axiom, CL1-CL4 for a closure and
+    IN1-IN4 (the closure axioms of the reversed order) for an interior
+    operator.
+    """
+    mapping = dict(mapping)
+    known = set(elements)
+    for x in elements:
+        if x not in mapping:
+            raise UnknownElement(x)
+    for x, v in mapping.items():
+        if x not in known or v not in known:
+            raise UnknownElement(v if x in known else x)
+    if kind == "closure":
+        order, sup, name = leq, join, "CL"
+    else:
+        order, sup, name = {(y, x) for x, y in leq}, meet, "IN"
+    f = mapping.__getitem__
+    for x in elements:
+        if (x, f(x)) not in order:
+            raise AxiomViolation(f"{name}1", (x,))
+    for x in elements:
+        for y in elements:
+            if f(sup[x, y]) != sup[f(x), f(y)]:
+                raise AxiomViolation(f"{name}2", (x, y))
+    for x in elements:
+        if f(f(x)) != f(x):
+            raise AxiomViolation(f"{name}3", (x,))
+    for x in elements:
+        for y in elements:
+            if (x, y) in order and (f(x), f(y)) not in order:
+                raise AxiomViolation(f"{name}4", (x, y))
+    return mapping
+
+
+def naive_validate_partial(elements, leq, low, high, role, table) -> dict:
+    """The checks of ``validate_partial``, in its order, on [low, high].
+
+    Returns the table; raises UnknownElement for the first missing cell or
+    unknown value, OutOfDomainOutput for the first value outside the
+    interval, and AxiomViolation for the first failing axiom (neutral,
+    commutative, associative, monotone), each scan row-major.
+    """
+    dom = tuple(x for x in elements if (low, x) in leq and (x, high) in leq)
+    known = set(elements)
+    table = dict(table)
+    for x in dom:
+        for y in dom:
+            if (x, y) not in table:
+                raise UnknownElement((x, y))
+            if table[x, y] not in known:
+                raise UnknownElement(table[x, y])
+    domset = set(dom)
+    for x in dom:
+        for y in dom:
+            if table[x, y] not in domset:
+                raise OutOfDomainOutput(x, y, table[x, y])
+
+    neutral = high if role == "tnorm" else low
+    for x in dom:
+        if table[neutral, x] != x or table[x, neutral] != x:
+            raise AxiomViolation("neutral", (x,))
+    for x in dom:
+        for y in dom:
+            if table[x, y] != table[y, x]:
+                raise AxiomViolation("commutative", (x, y))
+    for x in dom:
+        for y in dom:
+            for z in dom:
+                if table[x, table[y, z]] != table[table[x, y], z]:
+                    raise AxiomViolation("associative", (x, y, z))
+    for x in dom:
+        for y in dom:
+            if (x, y) not in leq:
+                continue
+            for z in dom:
+                if (table[x, z], table[y, z]) not in leq:
+                    raise AxiomViolation("monotone", (x, y, z))
+    return table

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from importlib import resources
 
@@ -15,6 +17,7 @@ from latuni import (
     serialize_lattice,
     serialize_operator,
 )
+from latuni import cli
 from latuni.cli import cli_main
 from latuni.errors import ParseError, ReferenceToUnknownElement
 
@@ -75,6 +78,21 @@ def test_cover_with_unknown_element(fx_l1):
     doc["covers"].append(["0", "zz"])
     with pytest.raises(ReferenceToUnknownElement):
         parse_lattice(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "covers,message",
+    [
+        ([["0", "a"], ["a", "1"], ["0", "a"]], "cover ['0', 'a'] is repeated"),
+        ([["0", "a"], ["a", "1"], ["0", "1"]], "cover ['0', '1'] is not a Hasse edge"),
+        ([["0", "a"], ["a", "a"], ["a", "1"]], "cover ['a', 'a'] is not a Hasse edge"),
+        ([["0", "a"], ["a", "1"], ["0", "1"], ["0", "a"]], "cover ['0', 'a'] is repeated"),
+    ],
+)
+def test_covers_must_be_hasse_edges(covers, message):
+    with pytest.raises(ParseError) as err:
+        parse_lattice(json.dumps({**CHAIN3, "covers": covers}))
+    assert str(err.value) == message
 
 
 def test_operator_presets(fx_l2):
@@ -200,6 +218,8 @@ CHAIN3 = {"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]], "bott
         ({"bottom": ["0"]}, None),
         ({}, {"kind": "bogus", "preset": "identity"}),
         ({}, {"kind": ["closure"], "preset": "identity"}),
+        ({"covers": [["0", "a"], ["a", "1"], ["0", "a"]]}, None),
+        ({"covers": [["0", "a"], ["a", "1"], ["0", "1"]]}, None),
     ],
 )
 def test_cli_malformed_document_is_exit_2(tmp_path, capsys, patch, operator):
@@ -291,6 +311,17 @@ def test_cli_construct_km_preset_needs_no_operators(capsys):
         ]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize("command,family", [("construct", "km-s"), ("search-pairs", "clo2")])
+@pytest.mark.parametrize("e", ["0", "1"])
+def test_cli_neutral_at_a_bound_is_exit_2(capsys, command, family, e):
+    argv = [
+        command, "--family", family, "--lattice", data_path("l1.lattice.json"),
+        "--e", e, "--boundary", data_path("l1.tconorm.json"),
+    ]
+    assert cli_main(argv) == 2
+    _assert_one_error_line(capsys)
 
 
 def test_cli_construct_force(tmp_path, capsys, fx_l1):
@@ -417,6 +448,19 @@ def test_cli_search_pairs(tmp_path, capsys):
     assert lines and all(isinstance(l["characteristic_pass"], bool) for l in lines)
 
 
+@pytest.mark.parametrize("cap,rc,lines", [("0", 0, 0), ("1", 0, 1), ("-1", 2, 0)])
+def test_cli_search_pairs_pool_cap(capsys, cap, rc, lines):
+    argv = [
+        "search-pairs", "--lattice", data_path("l2.lattice.json"), "--family", "clo2",
+        "--e", "e", "--boundary", data_path("l2.tconorm.json"), "--pool-cap", cap,
+    ]
+    assert cli_main(argv) == rc
+    if rc == 2:
+        _assert_one_error_line(capsys)
+    else:
+        assert len(capsys.readouterr().out.splitlines()) == lines
+
+
 def test_cli_search_tconorms(tmp_path, capsys):
     lattice = tmp_path / "chain3.json"
     lattice.write_text(
@@ -445,3 +489,36 @@ def test_cli_reproduce_matches_golden(name, capsys):
 def test_cli_export_dot(capsys):
     assert cli_main(["export-dot", "--lattice", data_path("l1.lattice.json")]) == 0
     assert capsys.readouterr().out.count("->") == 11
+
+
+def test_cli_shared_parser_keeps_no_state_between_calls(tmp_path, fx_l1):
+    """A sequence of calls on the one parser of the process gives, call by
+    call, what each call gives alone on a freshly built parser."""
+    table = tmp_path / "u.json"
+    table.write_text(serialize_binop(construct(fx_l1.spec())))
+    verify = ["verify", "--lattice", data_path("l1.lattice.json"), "--binop", str(table)]
+    sequence = [
+        ["--json", *verify],
+        verify,
+        ["verify", "--lattice", data_path("l1.lattice.json")],
+        ["--help"],
+        [
+            "construct", "--family", "km-s", "--lattice", data_path("l1.lattice.json"),
+            "--e", "e", "--boundary", data_path("l1.tconorm.json"),
+        ],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli_main(argv)
+        return rc, out.getvalue(), err.getvalue()
+
+    alone = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in sequence] == alone
+    assert [rc for rc, _, _ in alone] == [0, 0, 2, 0, 0]
+    assert cli._parser.cache_info().misses == 1

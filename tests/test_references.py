@@ -1,29 +1,44 @@
 """The integer lattice kernel against the naive string-keyed references.
 
 ``naive.py`` holds the order, meet/join and axiom scans as plain set and
-dict computations; here they are compared with ``build_lattice`` and
-``validate_uninorm`` on the bundled lattices, on every table of an l2
-sweep, on one-cell corruptions of the golden tables, and on drawn inputs.
+dict computations; here they are compared with ``build_lattice``,
+``validate_uninorm``, ``validate_unary`` and ``validate_partial`` on the
+bundled lattices, on every table of an l2 sweep, on every self-map of the
+small lattices, on one-cell corruptions of the golden tables and of the
+join t-conorms and meet t-norms, and on drawn inputs.
 """
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latuni import (
+    CLOSURE,
+    INTERIOR,
+    TCONORM,
+    TNORM,
     Family,
     FullBinOpTable,
     IntervalSpec,
     build_lattice,
     construct,
     join_tconorm,
+    meet_tnorm,
+    validate_partial,
+    validate_unary,
     validate_uninorm,
 )
 from latuni.errors import LatuniError, UnknownElement
 from latuni.fixtures import FIXTURES, SMALL_LATTICES
 from latuni.search import enumerate_admissible_pairs
-from naive import naive_lattice, naive_uninorm_report
+from naive import (
+    naive_lattice,
+    naive_uninorm_report,
+    naive_validate_partial,
+    naive_validate_unary,
+)
 from reference_tables import TABLES
 
 
@@ -142,6 +157,149 @@ def test_validate_uninorm_matches_naive_on_drawn_tables(data):
         for x in els:
             table[e, x] = table[x, e] = x
     _assert_same_report(FullBinOpTable(lat, table, neutral=e), _naive(lat)[0])
+
+
+# -- operators and t-(co)norms ------------------------------------------------
+
+def chain_product(a, b):
+    """The product of chains of a and b elements, ids ``p<i>_<j>``."""
+    name = "p{}_{}".format
+    elements = [name(i, j) for i in range(a) for j in range(b)]
+    covers = [(name(i, j), name(i + 1, j)) for i in range(a - 1) for j in range(b)]
+    covers += [(name(i, j), name(i, j + 1)) for i in range(a) for j in range(b - 1)]
+    return build_lattice(elements, covers, name(0, 0), name(a - 1, b - 1))
+
+
+# (lattice, neutral element): the fixtures and three chain products.
+SITES = {
+    **{name: (lambda name=name: FIXTURES[name]().lattice, "e") for name in sorted(FIXTURES)},
+    "p4x5": (lambda: chain_product(4, 5), "p2_2"),
+    "p5x6": (lambda: chain_product(5, 6), "p2_3"),
+    "p6x7": (lambda: chain_product(6, 7), "p3_3"),
+}
+MISSING = object()
+
+
+@functools.cache
+def _site(name):
+    """The lattice of a site and its naive (leq, meet, join), built once."""
+    make, e = SITES[name]
+    lat = make()
+    return lat, e, _naive(lat)
+
+
+def _assert_same_outcome(call, reference):
+    """Both return the same value, or both raise the same exception type
+    with the same message and attributes (axiom name, witness, element)."""
+    try:
+        expected = reference()
+    except LatuniError as exc:
+        with pytest.raises(LatuniError) as err:
+            call()
+        assert type(err.value) is type(exc)
+        assert vars(err.value) == vars(exc)
+        assert str(err.value) == str(exc)
+    else:
+        assert call() == expected
+
+
+def _assert_same_unary(lat, naive, kind, mapping):
+    leq, meet, join = naive
+    _assert_same_outcome(
+        lambda: validate_unary(lat, kind, mapping).mapping,
+        lambda: naive_validate_unary(lat.elements, leq, meet, join, kind, mapping),
+    )
+
+
+def _assert_same_partial(lat, leq, domain, role, table):
+    _assert_same_outcome(
+        lambda: validate_partial(lat, domain, role, table).table,
+        lambda: naive_validate_partial(lat.elements, leq, domain.low, domain.high, role, table),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_LATTICES))
+def test_validate_unary_matches_naive_on_every_self_map(name):
+    lat = SMALL_LATTICES[name]()
+    naive = _naive(lat)
+    for values in itertools.product(lat.elements, repeat=len(lat)):
+        mapping = dict(zip(lat.elements, values))
+        for kind in (CLOSURE, INTERIOR):
+            _assert_same_unary(lat, naive, kind, mapping)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_unary_matches_naive_on_drawn_maps(data):
+    """A join-with-k closure or meet-with-k interior operator with a few
+    values changed, then sometimes an entry dropped, a value unknown or an
+    unknown key added, so that each axiom and each unknown-id check fails
+    somewhere."""
+    lat, _, naive = _site(data.draw(st.sampled_from(sorted(SITES))))
+    els = lat.elements
+    kind = data.draw(st.sampled_from([CLOSURE, INTERIOR]))
+    k = data.draw(st.sampled_from(els))
+    with_k = lat.join if kind == CLOSURE else lat.meet
+    mapping = {x: with_k(x, k) for x in els}
+    changes = st.tuples(st.sampled_from(els), st.sampled_from(els))
+    for x, v in data.draw(st.lists(changes, max_size=3)):
+        mapping[x] = v
+    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        defect = data.draw(st.sampled_from(["missing", "unknown value", "unknown key"]))
+        x = data.draw(st.sampled_from(els))
+        if defect == "missing":
+            mapping.pop(x, None)
+        elif defect == "unknown value":
+            mapping[x] = "zz"
+        else:
+            mapping["yy"] = x
+    _assert_same_unary(lat, naive, kind, mapping)
+
+
+@pytest.mark.parametrize("name", sorted(SITES))
+def test_validate_partial_matches_naive_on_corrupted_boundaries(name):
+    lat, e, (leq, _, _) = _site(name)
+    for boundary in (join_tconorm(lat, e), meet_tnorm(lat, e)):
+        good = boundary.table
+        _assert_same_partial(lat, leq, boundary.domain, boundary.role, good)
+        for cell, value in good.items():
+            for other in lat.elements:
+                if other != value:
+                    table = {**good, cell: other}
+                    _assert_same_partial(lat, leq, boundary.domain, boundary.role, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_partial_matches_naive_on_drawn_tables(data):
+    """A commutative table with the role's neutral element on a drawn
+    interval, values in the interval, then up to three cells changed to any
+    element, to an unknown id, or dropped."""
+    names = sorted(SMALL_LATTICES) + sorted(FIXTURES)
+    name = data.draw(st.sampled_from(names))
+    lat = SMALL_LATTICES[name]() if name in SMALL_LATTICES else FIXTURES[name]().lattice
+    els = lat.elements
+    low = data.draw(st.sampled_from(els))
+    high = data.draw(st.sampled_from([y for y in els if lat.leq(low, y)]))
+    role = data.draw(st.sampled_from([TNORM, TCONORM]))
+    domain = IntervalSpec(low, high)
+    dom = lat.interval(domain)
+    neutral = high if role == TNORM else low
+    table = {}
+    for x in dom:
+        for y in dom:
+            if x == neutral or y == neutral:
+                table[x, y] = y if x == neutral else x
+            else:
+                table[x, y] = table[y, x] if (y, x) in table else data.draw(st.sampled_from(dom))
+    cells = st.tuples(st.sampled_from(dom), st.sampled_from(dom))
+    changes = st.tuples(cells, st.sampled_from(els + ("zz", MISSING)))
+    for cell, v in data.draw(st.lists(changes, max_size=3)):
+        if v is MISSING:
+            table.pop(cell, None)
+        else:
+            table[cell] = v
+    _assert_same_partial(lat, _naive(lat)[0], domain, role, table)
 
 
 # -- unknown elements ---------------------------------------------------------

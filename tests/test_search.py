@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +180,31 @@ def test_admissible_pairs_respects_pool_cap():
     )
     full = list(enumerate_admissible_pairs(lat, "a", Family.CLO, boundary))
     assert len(capped) <= 4 < len(full)
+
+
+def test_admissible_pairs_pool_cap_of_zero_admits_nothing(fx_l2):
+    lat = fx_l2.lattice
+    boundary = join_tconorm(lat, "e")
+
+    def pairs(cap):
+        return list(enumerate_admissible_pairs(lat, "e", Family.CLO, boundary, pool_cap=cap))
+
+    assert pairs(0) == []
+    assert len(pairs(1)) == 1
+    for cap in (-1, -3):
+        with pytest.raises(ValueError):
+            pairs(cap)
+
+
+def test_iff_sweep_script_rejects_a_negative_pool_cap(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_iff_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_iff_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--pool-cap", "-1"])
+    assert exit_.value.code == 2
+    assert "--pool-cap" in capsys.readouterr().err
 
 
 def test_admissible_pairs_includes_fixture_pair(fx_l2):
