@@ -28,6 +28,7 @@ from .fixtures import FIXTURES
 from .lattice import IntervalSpec
 from .search import (
     SearchConstraints,
+    enumerate_admissible_pairs,
     enumerate_partial_binops,
     enumerate_unary,
 )
@@ -135,8 +136,6 @@ def cmd_search_closures(args) -> int:
 
 
 def cmd_search_pairs(args) -> int:
-    from .search import enumerate_admissible_pairs
-
     lat = documents.parse_lattice(_read(args.lattice))
     family = Family(args.family)
     boundary = documents.parse_binop(_read(args.boundary), lat, role=_boundary_role(family))

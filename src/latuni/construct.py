@@ -10,8 +10,13 @@ Four families:
 The interior families are the closure families on the dual lattice.  An
 ``int2``/``int2-strict`` spec is checked, partitioned and built as the
 ``clo2``/``clo2-strict`` spec of its order dual (:attr:`ConstructionSpec.dual`),
-so only closure logic is written here; reports are restated in the spec's
-own interior terms, and region labels are mirrored back.
+so only closure logic is written here; reports are written in the spec's
+own terms, and region labels are mirrored back.
+
+A closure family splits the lattice around e into ]0,e[, I_e and [e,1],
+the strict one also splitting off the top.  Every check, the cell plan and
+``region_of`` read their regions from that one case partition
+(:func:`_partition`).
 
 ``construct`` always builds the table, even when the characteristic
 conditions fail: that is what lets the verifier exhibit the concrete
@@ -19,9 +24,9 @@ associativity counterexamples showing the conditions are necessary.
 
 No spec or table holds a cache: a sweep keeps thousands of specs alive,
 so anything stored per spec is paid that many times.  What depends on the
-order alone (intervals, the cell plan of each neutral element) is
-memoised on the lattice, and what depends on an operator (its dual, its
-map on positions) on the operator.
+order alone (intervals, the partition and cell plan of each neutral
+element) is memoised on the lattice, and what depends on an operator (its
+dual, its map on positions) on the operator.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .binop import (
     FullBinOpTable,
@@ -128,27 +134,6 @@ class ConstructionSpec:
             self.boundary.dual, self.op_low.dual, self.op_inc.dual,
         )
 
-    # Region shorthands, all in declared element order.
-    @property
-    def low_open(self):
-        return self.lattice.interval(IntervalSpec(self.lattice.bottom, self.e, True, True))
-
-    @property
-    def high_halfopen(self):
-        return self.lattice.interval(IntervalSpec(self.e, self.lattice.top, low_open=True))
-
-    @property
-    def high_open(self):
-        return self.lattice.interval(IntervalSpec(self.e, self.lattice.top, True, True))
-
-    @property
-    def inc(self):
-        return self.lattice.incomparables(self.e)
-
-    @property
-    def upper_closed(self):
-        return self.lattice.interval(IntervalSpec(self.e, self.lattice.top))
-
 
 def _closure_side(spec: ConstructionSpec) -> ConstructionSpec:
     """The closure-family spec that decides ``spec``: itself, or its dual."""
@@ -196,62 +181,87 @@ class ConditionReport:
         }
 
 
-# What each row states for the interior families.  Their rows are computed
-# as the closure rows of the dual spec, where "upper" reads "lower", ]0,e[
-# reads ]e,1[, and kinds and roles read flipped.
-_INTERIOR_STATEMENTS = {
-    "operator_kinds": f"both operators are {INTERIOR} operators",
-    "boundary_domain": f"boundary operation is a {TNORM} on the family's boundary interval",
-    "comparability": "second operator below first outside the lower interval",
-    "range_low": "first operator avoids the lower interval on ]e,1[",
-    "range_inc": "second operator avoids the lower interval on the incomparables of e",
-    "boundary_strict": "t-norm stays above the bottom on the open interval",
+# What each row states, in the terms of the closure (True) or the interior
+# (False) families.  An interior row is decided on the dual closure spec,
+# where "upper" reads "lower", ]0,e[ reads ]e,1[, and kinds and roles flip.
+_STATEMENTS = {
+    True: {
+        "operator_kinds": f"both operators are {CLOSURE} operators",
+        "boundary_domain": f"boundary operation is a {TCONORM} on the family's boundary interval",
+        "comparability": "first operator below second outside the upper interval",
+        "range_low": "first operator avoids the upper interval on ]0,e[",
+        "range_inc": "second operator avoids the upper interval on the incomparables of e",
+        "boundary_strict": "t-conorm stays below the top on the open interval",
+    },
+    False: {
+        "operator_kinds": f"both operators are {INTERIOR} operators",
+        "boundary_domain": f"boundary operation is a {TNORM} on the family's boundary interval",
+        "comparability": "second operator below first outside the lower interval",
+        "range_low": "first operator avoids the lower interval on ]e,1[",
+        "range_inc": "second operator avoids the lower interval on the incomparables of e",
+        "boundary_strict": "t-norm stays above the bottom on the open interval",
+    },
 }
-_FLIPPED = {CLOSURE: INTERIOR, INTERIOR: CLOSURE, TCONORM: TNORM, TNORM: TCONORM}
 
 
-def _in_own_terms(spec: ConstructionSpec, report: ConditionReport) -> ConditionReport:
-    """Restate a report computed on the closure side in ``spec``'s terms."""
-    if spec.family.closure_based:
-        return report
-    for row in report.rows:
-        row.statement = _INTERIOR_STATEMENTS[row.name]
-        if row.name in ("operator_kinds", "boundary_domain"):
-            row.witnesses = tuple(_FLIPPED[w] for w in row.witnesses)
-    return report
+def _row(spec: ConstructionSpec, name: str, passed: bool, witnesses=(), vacuous=False) -> ConditionRow:
+    return ConditionRow(name, _STATEMENTS[spec.family.closure_based][name], passed, witnesses, vacuous)
+
+
+class _Partition(NamedTuple):
+    labels: tuple  # the RegionLabel of each element, by position
+    members: dict  # each RegionLabel's elements, in declared order
+
+
+def _partition(spec: ConstructionSpec) -> _Partition:
+    """The case partition of a closure-family spec, memoised on its lattice.
+
+    e is E; in the strict family the top is TOP; the bottom is ZERO; the
+    elements incomparable with e are INC, those below e LOW_OPEN, and those
+    above e HIGH_OPEN (strict) or HIGH_HALFOPEN.  It depends on the
+    lattice, e and strictness alone.
+    """
+    lat = spec.lattice
+    strict = spec.family.strict
+
+    def make():
+        i = lat.index(spec.e)
+        below, above = lat.down[i], lat.up[i]
+        labels = []
+        for j, x in enumerate(lat.elements):
+            if j == i:
+                labels.append(RegionLabel.E)
+            elif strict and x == lat.top:
+                labels.append(RegionLabel.TOP)
+            elif x == lat.bottom:
+                labels.append(RegionLabel.ZERO)
+            elif below >> j & 1:
+                labels.append(RegionLabel.LOW_OPEN)
+            elif above >> j & 1:
+                labels.append(RegionLabel.HIGH_OPEN if strict else RegionLabel.HIGH_HALFOPEN)
+            else:
+                labels.append(RegionLabel.INC)
+        members = {
+            r: tuple(x for x, label in zip(lat.elements, labels) if label is r) for r in RegionLabel
+        }
+        return _Partition(tuple(labels), members)
+
+    return lat.derived(("partition", spec.e, strict), make)
 
 
 def check_hypotheses(spec: ConstructionSpec) -> ConditionReport:
     """Structural preconditions of the spec's family; failures are data."""
     clo = _closure_side(spec)
-    lat = clo.lattice
+    part = _partition(clo).members
     kinds_ok = clo.op_low.kind == CLOSURE and clo.op_inc.kind == CLOSURE
-    dom_ok = clo.boundary.role == TCONORM and clo.boundary.domain == IntervalSpec(clo.e, lat.top)
-    upper = set(clo.upper_closed)
-    cmp_ok, cmp_wit = pointwise_leq_on(
-        clo.op_low, clo.op_inc, [x for x in lat.elements if x not in upper]
-    )
-    rows = [
-        ConditionRow(
-            "operator_kinds",
-            f"both operators are {CLOSURE} operators",
-            kinds_ok,
-            () if kinds_ok else (clo.op_low.kind, clo.op_inc.kind),
-        ),
-        ConditionRow(
-            "boundary_domain",
-            f"boundary operation is a {TCONORM} on the family's boundary interval",
-            dom_ok,
-            () if dom_ok else (clo.boundary.role,),
-        ),
-        ConditionRow(
-            "comparability",
-            "first operator below second outside the upper interval",
-            cmp_ok,
-            cmp_wit,
-        ),
-    ]
-    return _in_own_terms(spec, ConditionReport(rows))
+    dom_ok = clo.boundary.role == TCONORM and clo.boundary.domain == IntervalSpec(clo.e, clo.lattice.top)
+    outside_upper = part[RegionLabel.ZERO] + part[RegionLabel.LOW_OPEN] + part[RegionLabel.INC]
+    cmp_ok, cmp_wit = pointwise_leq_on(clo.op_low, clo.op_inc, outside_upper)
+    return ConditionReport([
+        _row(spec, "operator_kinds", kinds_ok, () if kinds_ok else (spec.op_low.kind, spec.op_inc.kind)),
+        _row(spec, "boundary_domain", dom_ok, () if dom_ok else (spec.boundary.role,)),
+        _row(spec, "comparability", cmp_ok, cmp_wit),
+    ])
 
 
 def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport | None = None) -> ConditionReport:
@@ -266,44 +276,22 @@ def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport 
     if not hyp.passed:
         raise HypothesesNotChecked("construction hypotheses do not hold")
     clo = _closure_side(spec)
+    part = _partition(clo).members
     forbidden = IntervalSpec(clo.e, clo.lattice.top)
-    ok_low, wit_low = range_avoids(clo.op_low, clo.low_open, forbidden)
-    ok_inc, wit_inc = range_avoids(clo.op_inc, clo.inc, forbidden)
-    notes = {}
-    vacuous = False
-    if clo.family.strict:
-        # Strict constructions only consult the operators against the open
-        # boundary interval; with it empty, no operator condition binds.
-        vacuous = not clo.high_open
-        notes["open_boundary_interval_empty"] = vacuous
+    ok_low, wit_low = range_avoids(clo.op_low, part[RegionLabel.LOW_OPEN], forbidden)
+    ok_inc, wit_inc = range_avoids(clo.op_inc, part[RegionLabel.INC], forbidden)
+    strict = clo.family.strict
+    # Strict constructions only consult the operators against the open
+    # boundary interval; with it empty, no operator condition binds.
+    vacuous = strict and not part[RegionLabel.HIGH_OPEN]
+    notes = {"open_boundary_interval_empty": vacuous} if strict else {}
     rows = [
-        ConditionRow(
-            "range_low",
-            "first operator avoids the upper interval on ]0,e[",
-            ok_low or vacuous,
-            wit_low,
-            vacuous,
-        ),
-        ConditionRow(
-            "range_inc",
-            "second operator avoids the upper interval on the incomparables of e",
-            ok_inc or vacuous,
-            wit_inc,
-            vacuous,
-        ),
+        _row(spec, "range_low", ok_low or vacuous, wit_low, vacuous),
+        _row(spec, "range_inc", ok_inc or vacuous, wit_inc, vacuous),
     ]
-    if clo.family.strict:
-        strict_ok, strict_wit = strictness_check(clo.boundary)
-        rows.append(
-            ConditionRow(
-                "boundary_strict",
-                "t-conorm stays below the top on the open interval",
-                strict_ok,
-                strict_wit,
-                vacuous,
-            )
-        )
-    return _in_own_terms(spec, ConditionReport(rows, notes))
+    if strict:
+        rows.append(_row(spec, "boundary_strict", *strictness_check(clo.boundary), vacuous))
+    return ConditionReport(rows, notes)
 
 
 def region_of(spec: ConstructionSpec, x) -> RegionLabel:
@@ -312,20 +300,9 @@ def region_of(spec: ConstructionSpec, x) -> RegionLabel:
     An interior family's partition is the mirror of its dual closure
     family's: [0,e[ is one region, LOW_HALFOPEN, for ``int2``.
     """
-    if not spec.family.closure_based:
-        return _MIRROR[region_of(spec.dual, x)]
-    lat = spec.lattice
-    if x == spec.e:
-        return RegionLabel.E
-    if spec.family.strict and x == lat.top:
-        return RegionLabel.TOP
-    if x == lat.bottom:
-        return RegionLabel.ZERO
-    if lat.incomparable(x, spec.e):
-        return RegionLabel.INC
-    if lat.lt(x, spec.e):
-        return RegionLabel.LOW_OPEN
-    return RegionLabel.HIGH_OPEN if spec.family.strict else RegionLabel.HIGH_HALFOPEN
+    clo = _closure_side(spec)
+    label = _partition(clo).labels[clo.lattice.index(x)]
+    return label if clo is spec else _MIRROR[label]
 
 
 # The closure families' upper block [e,1], without the strict top, and the
@@ -355,7 +332,7 @@ def _plan(spec: ConstructionSpec):
 
     def make():
         els = lat.elements
-        region = [region_of(spec, x) for x in els]
+        region = _partition(spec).labels
         base, boundary, mixed = [], [], []
         for x, rx in zip(els, region):
             for y, ry in zip(els, region):
@@ -414,42 +391,20 @@ def reference_karacal_mesiar(lat: BoundedLattice, e: str, boundary: PartialBinOp
     """
     if side not in ("s", "t"):
         raise ValueError("side must be 's' or 't'")
-    upper = set(lat.interval(IntervalSpec(e, lat.top)))
-    lower = set(lat.interval(IntervalSpec(lat.bottom, e)))
-    inc = set(lat.incomparables(e))
-    table = {}
     if side == "s":
-        outside = inc | (lower - {e})
-        for x in lat.elements:
-            for y in lat.elements:
-                if x in upper and y in upper:
-                    table[x, y] = boundary(x, y)
-                elif x in outside and y in upper:
-                    table[x, y] = x
-                elif x in upper and y in outside:
-                    table[x, y] = y
-                else:
-                    table[x, y] = lat.bottom
+        block, fill = set(lat.interval(IntervalSpec(e, lat.top))), lat.bottom
     else:
-        outside = inc | (upper - {e})
-        for x in lat.elements:
-            for y in lat.elements:
-                if x in lower and y in lower:
-                    table[x, y] = boundary(x, y)
-                elif x in outside and y in lower:
-                    table[x, y] = x
-                elif x in lower and y in outside:
-                    table[x, y] = y
-                else:
-                    table[x, y] = lat.top
+        block, fill = set(lat.interval(IntervalSpec(lat.bottom, e))), lat.top
+    table = {}
+    for x in lat.elements:
+        for y in lat.elements:
+            if x in block and y in block:
+                table[x, y] = boundary(x, y)
+            elif x in block or y in block:
+                table[x, y] = y if x in block else x
+            else:
+                table[x, y] = fill
     return FullBinOpTable(lat, table, neutral=e)
-
-
-def _is_antichain(lat: BoundedLattice, xs) -> bool:
-    xs = list(xs)
-    return all(
-        lat.incomparable(x, y) for i, x in enumerate(xs) for y in xs[i + 1 :]
-    )
 
 
 def structural_class_predicate(spec: ConstructionSpec) -> bool:
@@ -461,10 +416,9 @@ def structural_class_predicate(spec: ConstructionSpec) -> bool:
     incomparability region.  Sufficient only, never necessary.
     """
     clo = _closure_side(spec)
-    side = clo.low_open
-    side_ok = len(side) <= 1 or _is_antichain(clo.lattice, side)
-    if not clo.family.strict:
-        return side_ok
-    inc = clo.inc
-    inc_ok = len(inc) <= 1 or _is_antichain(clo.lattice, inc)
-    return side_ok and inc_ok
+    part = _partition(clo).members
+    regions = [RegionLabel.LOW_OPEN, RegionLabel.INC] if clo.family.strict else [RegionLabel.LOW_OPEN]
+    return all(
+        clo.lattice.incomparable(x, y)
+        for r in regions for i, x in enumerate(part[r]) for y in part[r][i + 1 :]
+    )

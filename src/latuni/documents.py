@@ -163,6 +163,9 @@ def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
         _require_keys(dom_doc, ("low", "high"))
         if not _is_string_list([dom_doc["low"], dom_doc["high"]]):
             raise ParseError("domain 'low' and 'high' must be strings")
+        for key in ("low", "high"):
+            if dom_doc[key] not in lat:
+                raise ReferenceToUnknownElement(f"domain {key} {dom_doc[key]!r} is not a lattice element")
         spec = IntervalSpec(dom_doc["low"], dom_doc["high"])
         rows = lat.interval(spec)
     else:

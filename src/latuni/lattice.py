@@ -99,9 +99,6 @@ class BoundedLattice:
         except KeyError:
             raise self._unknown(x, y) from None
 
-    def lt(self, x, y) -> bool:
-        return x != y and self.leq(x, y)
-
     def incomparable(self, x, y) -> bool:
         pos = self.positions
         try:

@@ -6,9 +6,17 @@ from importlib import resources
 import pytest
 
 from latuni import (
+    CLOSURE,
+    INTERIOR,
     TCONORM,
+    ConstructionSpec,
+    Family,
+    check_characteristic,
+    check_hypotheses,
     construct,
     export_dot,
+    identity_operator,
+    meet_tnorm,
     parse_binop,
     parse_lattice,
     parse_operator,
@@ -41,7 +49,11 @@ def test_lattice_round_trip(fx_l1):
 
 def test_bundled_lattice_documents_match_fixtures(fx_l1, fx_l2, fx_l3):
     for fx in (fx_l1, fx_l2, fx_l3):
-        assert parse_lattice(data_text(f"{fx.name}.lattice.json")) == fx.lattice
+        lat = parse_lattice(data_text(f"{fx.name}.lattice.json"))
+        assert lat == fx.lattice
+        assert parse_operator(data_text(f"{fx.name}.cl1.op.json"), lat) == fx.cl1
+        assert parse_operator(data_text(f"{fx.name}.cl2.op.json"), lat) == fx.cl2
+        assert parse_binop(data_text(f"{fx.name}.tconorm.json"), lat, role=TCONORM) == fx.tconorm
 
 
 def test_operator_round_trip(fx_l1):
@@ -254,6 +266,7 @@ def _assert_one_error_line(capsys):
         ("boundary", {"neutral": "a", "domain": 5, "table": {}}),
         ("boundary", {"neutral": "a", "domain": {"low": 0, "high": "1"}, "table": {}}),
         ("boundary", {"neutral": "a", "domain": {"low": "a", "high": ["1"]}, "table": {}}),
+        ("boundary", {"neutral": "a", "domain": {"low": "zz", "high": "1"}, "table": {}}),
     ],
 )
 def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, document):
@@ -311,6 +324,53 @@ def test_cli_construct_km_preset_needs_no_operators(capsys):
         ]
     )
     assert rc == 0
+
+
+def _library_construct(spec):
+    """The exit code and the ``--json`` output of ``construct`` on ``spec``."""
+    report = check_hypotheses(spec)
+    if report.passed:
+        report = check_characteristic(spec, hypotheses=report)
+    if not report.passed:
+        return 1, json.dumps(report.as_dict(), indent=2) + "\n"
+    return 0, serialize_binop(construct(spec))
+
+
+@pytest.mark.parametrize(
+    "preset,low,inc,family,operators",
+    [
+        ("single-clo", "l1.cl1.op.json", None, Family.CLO, ("low", "low")),
+        ("single-clo", {"kind": "closure", "preset": "join-with:e"}, None, Family.CLO, ("low", "low")),
+        ("clo-id", None, "l1.cl2.op.json", Family.CLO, ("identity", "inc")),
+        ("single-int", {"kind": "interior", "preset": "meet-with:k"}, None, Family.INT, ("low", "low")),
+        ("int-id", None, {"kind": "interior", "preset": "meet-with:e"}, Family.INT, ("identity", "inc")),
+    ],
+)
+def test_cli_construct_operator_presets_match_library(
+    tmp_path, capsys, fx_l1, preset, low, inc, family, operators
+):
+    lat = fx_l1.lattice
+    boundary = fx_l1.tconorm if family.closure_based else meet_tnorm(lat, "e")
+    boundary_path = tmp_path / "boundary.json"
+    boundary_path.write_text(serialize_binop(boundary))
+    argv = [
+        "--json", "construct", "--family", preset, "--lattice", data_path("l1.lattice.json"),
+        "--e", "e", "--boundary", str(boundary_path),
+    ]
+    given = {}
+    for flag, doc in (("low", low), ("inc", inc)):
+        if doc is None:
+            continue
+        text = data_text(doc) if isinstance(doc, str) else json.dumps(doc)
+        path = tmp_path / f"{flag}.json"
+        path.write_text(text)
+        given[flag] = parse_operator(text, lat)
+        argv += [f"--op-{flag}", str(path)]
+    kind = CLOSURE if family.closure_based else INTERIOR
+    given["identity"] = identity_operator(lat, kind)
+    spec = ConstructionSpec(family, lat, "e", boundary, *(given[op] for op in operators))
+    rc = cli_main(argv)
+    assert (rc, capsys.readouterr().out) == _library_construct(spec)
 
 
 @pytest.mark.parametrize("command,family", [("construct", "km-s"), ("search-pairs", "clo2")])
