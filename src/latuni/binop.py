@@ -10,7 +10,6 @@ declared element order so the first witness is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import (
     AxiomViolation,
@@ -41,16 +40,6 @@ class PartialBinOpTable:
 
     def __call__(self, x, y) -> str:
         return self.table[x, y]
-
-    @cached_property
-    def dual(self) -> "PartialBinOpTable":
-        """The same table on ``lattice.dual()``, re-certified (memoised).
-
-        A t-norm on [a,b] is a t-conorm on [b,a] of the dual, and back.
-        """
-        role = TCONORM if self.role == TNORM else TNORM
-        domain = IntervalSpec(self.domain.high, self.domain.low)
-        return validate_partial(self.lattice.dual(), domain, role, self.table)
 
     def __eq__(self, other):
         return (

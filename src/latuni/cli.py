@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import documents
-from .binop import TCONORM, TNORM, classify, validate_uninorm
+from .binop import TCONORM, classify, validate_uninorm
 from .construct import (
     ConstructionSpec,
     Family,
@@ -56,10 +56,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _boundary_role(family: Family) -> str:
-    return TCONORM if family.closure_based else TNORM
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def cmd_validate(args) -> int:
@@ -75,12 +73,11 @@ def cmd_validate(args) -> int:
 def cmd_construct(args) -> int:
     family, low_src, inc_src = FAMILY_PRESETS[args.family]
     lat = documents.parse_lattice(_read(args.lattice))
-    kind = CLOSURE if family.closure_based else INTERIOR
-    boundary = documents.parse_binop(_read(args.boundary), lat, role=_boundary_role(family))
+    boundary = documents.parse_binop(_read(args.boundary), lat, role=family.role)
 
     def pick(src, flag_value, flag_name):
         if src == "identity":
-            return identity_operator(lat, kind)
+            return identity_operator(lat, family.kind)
         if src == "low":
             return op_low
         if flag_value is None:
@@ -138,7 +135,7 @@ def cmd_search_closures(args) -> int:
 def cmd_search_pairs(args) -> int:
     lat = documents.parse_lattice(_read(args.lattice))
     family = Family(args.family)
-    boundary = documents.parse_binop(_read(args.boundary), lat, role=_boundary_role(family))
+    boundary = documents.parse_binop(_read(args.boundary), lat, role=family.role)
     for spec, tag in enumerate_admissible_pairs(lat, args.e, family, boundary, pool_cap=args.pool_cap):
         print(
             json.dumps(

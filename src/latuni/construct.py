@@ -8,13 +8,13 @@ Four families:
 * ``int2-strict`` — the interior variant with the bottom element annihilating.
 
 The interior families are the closure families on the dual lattice.  An
-``int2``/``int2-strict`` spec is checked, partitioned and built as the
-``clo2``/``clo2-strict`` spec of its order dual (:attr:`ConstructionSpec.dual`),
-so only closure logic is written here; reports are written in the spec's
-own terms, and region labels are mirrored back.
+``int2``/``int2-strict`` spec is checked, partitioned and built by the
+closure logic run in the order ``lattice.dual()`` (:func:`_order`) over its
+own operators and boundary; reports are written in the spec's own terms,
+and region labels are mirrored back.
 
-A closure family splits the lattice around e into ]0,e[, I_e and [e,1],
-the strict one also splitting off the top.  Every check, the cell plan and
+A closure family splits the order around e into ]0,e[, I_e and [e,1], the
+strict one also splitting off the top.  Every check, the cell plan and
 ``region_of`` read their regions from that one case partition
 (:func:`_partition`).
 
@@ -25,8 +25,8 @@ associativity counterexamples showing the conditions are necessary.
 No spec or table holds a cache: a sweep keeps thousands of specs alive,
 so anything stored per spec is paid that many times.  What depends on the
 order alone (intervals, the partition and cell plan of each neutral
-element) is memoised on the lattice, and what depends on an operator (its
-dual, its map on positions) on the operator.
+element) is memoised on the lattice, and an operator carries its map on
+positions from the start.
 """
 
 from __future__ import annotations
@@ -49,26 +49,19 @@ from .unary import CLOSURE, INTERIOR, UnaryOpTable, pointwise_leq_on, range_avoi
 
 
 class Family(str, enum.Enum):
+    """A family, with its operators' ``kind`` and its boundary's ``role``."""
+
     CLO = "clo2"
     INT = "int2"
     CLO_STRICT = "clo2-strict"
     INT_STRICT = "int2-strict"
 
-    @property
-    def closure_based(self) -> bool:
-        return self in (Family.CLO, Family.CLO_STRICT)
-
-    @property
-    def strict(self) -> bool:
-        return self in (Family.CLO_STRICT, Family.INT_STRICT)
-
-
-_DUAL_FAMILY = {
-    Family.CLO: Family.INT,
-    Family.INT: Family.CLO,
-    Family.CLO_STRICT: Family.INT_STRICT,
-    Family.INT_STRICT: Family.CLO_STRICT,
-}
+    def __init__(self, value):
+        # Plain attributes, not properties: the checks read them per spec.
+        self.closure_based = value.startswith("clo")
+        self.strict = value.endswith("-strict")
+        self.kind = CLOSURE if self.closure_based else INTERIOR
+        self.role = TCONORM if self.closure_based else TNORM
 
 
 class RegionLabel(enum.Enum):
@@ -122,22 +115,16 @@ class ConstructionSpec:
         if self.boundary.lattice != lat:
             raise MismatchedLattice("boundary operation lattice differs from the spec lattice")
 
-    @property
-    def dual(self) -> "ConstructionSpec":
-        """The same spec on ``lattice.dual()``.
 
-        The family swaps clo2 <-> int2 and clo2-strict <-> int2-strict; the
-        operators and the boundary are the same maps, re-certified there.
-        """
-        return ConstructionSpec(
-            _DUAL_FAMILY[self.family], self.lattice.dual(), self.e,
-            self.boundary.dual, self.op_low.dual, self.op_inc.dual,
-        )
+def _order(spec: ConstructionSpec) -> BoundedLattice:
+    """The order the closure logic decides ``spec`` in: its lattice, or the dual."""
+    return spec.lattice if spec.family.closure_based else spec.lattice.dual()
 
 
-def _closure_side(spec: ConstructionSpec) -> ConstructionSpec:
-    """The closure-family spec that decides ``spec``: itself, or its dual."""
-    return spec if spec.family.closure_based else spec.dual
+def _boundary_interval(spec: ConstructionSpec) -> IntervalSpec:
+    """[e,1] of the order, in the spec's lattice: the boundary's domain, and what operators avoid."""
+    lat, e = spec.lattice, spec.e
+    return IntervalSpec(e, lat.top) if spec.family.closure_based else IntervalSpec(lat.bottom, e)
 
 
 @dataclass
@@ -182,8 +169,8 @@ class ConditionReport:
 
 
 # What each row states, in the terms of the closure (True) or the interior
-# (False) families.  An interior row is decided on the dual closure spec,
-# where "upper" reads "lower", ]0,e[ reads ]e,1[, and kinds and roles flip.
+# (False) families.  An interior row is decided in the dual order, where
+# "upper" reads "lower", ]0,e[ reads ]e,1[, and kinds and roles flip.
 _STATEMENTS = {
     True: {
         "operator_kinds": f"both operators are {CLOSURE} operators",
@@ -213,19 +200,16 @@ class _Partition(NamedTuple):
     members: dict  # each RegionLabel's elements, in declared order
 
 
-def _partition(spec: ConstructionSpec) -> _Partition:
-    """The case partition of a closure-family spec, memoised on its lattice.
+def _partition(lat: BoundedLattice, e: str, strict: bool) -> _Partition:
+    """The closure-family case partition of ``lat`` around e, memoised on it.
 
     e is E; in the strict family the top is TOP; the bottom is ZERO; the
     elements incomparable with e are INC, those below e LOW_OPEN, and those
-    above e HIGH_OPEN (strict) or HIGH_HALFOPEN.  It depends on the
-    lattice, e and strictness alone.
+    above e HIGH_OPEN (strict) or HIGH_HALFOPEN.
     """
-    lat = spec.lattice
-    strict = spec.family.strict
 
     def make():
-        i = lat.index(spec.e)
+        i = lat.index(e)
         below, above = lat.down[i], lat.up[i]
         labels = []
         for j, x in enumerate(lat.elements):
@@ -246,20 +230,22 @@ def _partition(spec: ConstructionSpec) -> _Partition:
         }
         return _Partition(tuple(labels), members)
 
-    return lat.derived(("partition", spec.e, strict), make)
+    return lat.derived(("partition", e, strict), make)
 
 
 def check_hypotheses(spec: ConstructionSpec) -> ConditionReport:
     """Structural preconditions of the spec's family; failures are data."""
-    clo = _closure_side(spec)
-    part = _partition(clo).members
-    kinds_ok = clo.op_low.kind == CLOSURE and clo.op_inc.kind == CLOSURE
-    dom_ok = clo.boundary.role == TCONORM and clo.boundary.domain == IntervalSpec(clo.e, clo.lattice.top)
+    family, op_low, op_inc, boundary = spec.family, spec.op_low, spec.op_inc, spec.boundary
+    part = _partition(_order(spec), spec.e, family.strict).members
+    kinds_ok = op_low.kind == family.kind and op_inc.kind == family.kind
+    dom_ok = boundary.role == family.role and boundary.domain == _boundary_interval(spec)
     outside_upper = part[RegionLabel.ZERO] + part[RegionLabel.LOW_OPEN] + part[RegionLabel.INC]
-    cmp_ok, cmp_wit = pointwise_leq_on(clo.op_low, clo.op_inc, outside_upper)
+    # op_low below op_inc in the order: the reverse on an interior lattice.
+    below, above = (op_low, op_inc) if family.closure_based else (op_inc, op_low)
+    cmp_ok, cmp_wit = pointwise_leq_on(below, above, outside_upper)
     return ConditionReport([
-        _row(spec, "operator_kinds", kinds_ok, () if kinds_ok else (spec.op_low.kind, spec.op_inc.kind)),
-        _row(spec, "boundary_domain", dom_ok, () if dom_ok else (spec.boundary.role,)),
+        _row(spec, "operator_kinds", kinds_ok, () if kinds_ok else (op_low.kind, op_inc.kind)),
+        _row(spec, "boundary_domain", dom_ok, () if dom_ok else (boundary.role,)),
         _row(spec, "comparability", cmp_ok, cmp_wit),
     ])
 
@@ -275,12 +261,11 @@ def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport 
     hyp = hypotheses if hypotheses is not None else check_hypotheses(spec)
     if not hyp.passed:
         raise HypothesesNotChecked("construction hypotheses do not hold")
-    clo = _closure_side(spec)
-    part = _partition(clo).members
-    forbidden = IntervalSpec(clo.e, clo.lattice.top)
-    ok_low, wit_low = range_avoids(clo.op_low, part[RegionLabel.LOW_OPEN], forbidden)
-    ok_inc, wit_inc = range_avoids(clo.op_inc, part[RegionLabel.INC], forbidden)
-    strict = clo.family.strict
+    strict = spec.family.strict
+    part = _partition(_order(spec), spec.e, strict).members
+    forbidden = _boundary_interval(spec)
+    ok_low, wit_low = range_avoids(spec.op_low, part[RegionLabel.LOW_OPEN], forbidden)
+    ok_inc, wit_inc = range_avoids(spec.op_inc, part[RegionLabel.INC], forbidden)
     # Strict constructions only consult the operators against the open
     # boundary interval; with it empty, no operator condition binds.
     vacuous = strict and not part[RegionLabel.HIGH_OPEN]
@@ -290,7 +275,7 @@ def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport 
         _row(spec, "range_inc", ok_inc or vacuous, wit_inc, vacuous),
     ]
     if strict:
-        rows.append(_row(spec, "boundary_strict", *strictness_check(clo.boundary), vacuous))
+        rows.append(_row(spec, "boundary_strict", *strictness_check(spec.boundary), vacuous))
     return ConditionReport(rows, notes)
 
 
@@ -300,9 +285,8 @@ def region_of(spec: ConstructionSpec, x) -> RegionLabel:
     An interior family's partition is the mirror of its dual closure
     family's: [0,e[ is one region, LOW_HALFOPEN, for ``int2``.
     """
-    clo = _closure_side(spec)
-    label = _partition(clo).labels[clo.lattice.index(x)]
-    return label if clo is spec else _MIRROR[label]
+    label = _partition(_order(spec), spec.e, spec.family.strict).labels[spec.lattice.index(x)]
+    return label if spec.family.closure_based else _MIRROR[label]
 
 
 # The closure families' upper block [e,1], without the strict top, and the
@@ -311,8 +295,8 @@ _UPPER = {RegionLabel.E, RegionLabel.HIGH_HALFOPEN, RegionLabel.HIGH_OPEN}
 _OPERATED = {RegionLabel.LOW_OPEN, RegionLabel.INC}
 
 
-def _plan(spec: ConstructionSpec):
-    """The cell plan of a closure-family spec, memoised on its lattice.
+def _plan(lat: BoundedLattice, e: str, strict: bool):
+    """The closure-family cell plan of ``lat`` around e, memoised on it.
 
     The value of a cell is keyed by the regions of its two arguments: a
     strict top annihilates; cells inside the upper block [e,1] take the
@@ -321,18 +305,16 @@ def _plan(spec: ConstructionSpec):
     op(a) ^ (a v e), with op_low on ]0,e[ and op_inc on I_e; every other
     cell is the bottom.
 
-    The plan depends on the lattice, e and strictness alone.  Cells are
-    numbered row-major: ``base`` holds each cell's fixed value, or None;
-    ``boundary`` the cells taken from the boundary operation; ``mixed``
-    each (cell, a) taking the row value of a; ``rows`` each (a, region)
-    whose row value is needed.  It holds no cell keys, to stay small on
-    every lattice a sweep visits.
+    Cells are numbered row-major: ``base`` holds each cell's fixed value,
+    or None; ``boundary`` the cells taken from the boundary operation;
+    ``mixed`` each (cell, a) taking the row value of a; ``rows`` each
+    (a, region) whose row value is needed.  It holds no cell keys, to stay
+    small on every lattice a sweep visits.
     """
-    lat = spec.lattice
 
     def make():
         els = lat.elements
-        region = _partition(spec).labels
+        region = _partition(lat, e, strict).labels
         base, boundary, mixed = [], [], []
         for x, rx in zip(els, region):
             for y, ry in zip(els, region):
@@ -355,31 +337,30 @@ def _plan(spec: ConstructionSpec):
         rows = tuple((a, r) for a, r in zip(els, region) if r in _OPERATED)
         return tuple(base), tuple(boundary), tuple(mixed), rows
 
-    return lat.derived(("construct", spec.e, spec.family.strict), make)
+    return lat.derived(("construct", e, strict), make)
 
 
 def construct(spec: ConstructionSpec) -> FullBinOpTable:
     """Build the family's full table from the cell plan.
 
-    An interior spec is built as its dual closure spec: the two tables are
-    the same.  Does not check the characteristic conditions: when they
+    An interior spec is built in the dual order, with meet and join
+    exchanged.  Does not check the characteristic conditions: when they
     fail, the returned table fails validate_uninorm with the expected
     witnesses.
     """
-    clo = _closure_side(spec)
-    lat = clo.lattice
-    els = lat.elements
+    order, e = _order(spec), spec.e
+    els = order.elements
     n = len(els)
-    base, boundary, mixed, rows = _plan(clo)
-    ops = {RegionLabel.LOW_OPEN: clo.op_low, RegionLabel.INC: clo.op_inc}
+    base, boundary, mixed, rows = _plan(order, e, spec.family.strict)
+    ops = {RegionLabel.LOW_OPEN: spec.op_low, RegionLabel.INC: spec.op_inc}
     # op(a) ^ (a v e) does not depend on the column: one value per row a.
-    row_value = {a: lat.meet(ops[r](a), lat.join(a, clo.e)) for a, r in rows}
+    row_value = {a: order.meet(ops[r](a), order.join(a, e)) for a, r in rows}
     values = list(base)
     for k in boundary:
-        values[k] = clo.boundary(els[k // n], els[k % n])
+        values[k] = spec.boundary(els[k // n], els[k % n])
     for k, a in mixed:
         values[k] = row_value[a]
-    return FullBinOpTable(spec.lattice, dict(zip(product(els, repeat=2), values)), neutral=spec.e)
+    return FullBinOpTable(spec.lattice, dict(zip(product(els, repeat=2), values)), neutral=e)
 
 
 def reference_karacal_mesiar(lat: BoundedLattice, e: str, boundary: PartialBinOpTable, side: str) -> FullBinOpTable:
@@ -415,10 +396,10 @@ def structural_class_predicate(spec: ConstructionSpec) -> bool:
     or an antichain.  Strict families additionally require the same of the
     incomparability region.  Sufficient only, never necessary.
     """
-    clo = _closure_side(spec)
-    part = _partition(clo).members
-    regions = [RegionLabel.LOW_OPEN, RegionLabel.INC] if clo.family.strict else [RegionLabel.LOW_OPEN]
+    strict = spec.family.strict
+    part = _partition(_order(spec), spec.e, strict).members
+    regions = [RegionLabel.LOW_OPEN, RegionLabel.INC] if strict else [RegionLabel.LOW_OPEN]
     return all(
-        clo.lattice.incomparable(x, y)
+        spec.lattice.incomparable(x, y)
         for r in regions for i, x in enumerate(part[r]) for y in part[r][i + 1 :]
     )

@@ -146,8 +146,8 @@ def serialize_operator(op: UnaryOpTable) -> str:
 def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
     """Parse a binop document.
 
-    With a "domain" key and a role, returns a certified PartialBinOpTable;
-    otherwise a FullBinOpTable over the whole lattice (uncertified).
+    With a role, a certified PartialBinOpTable on the "domain" the document
+    must give; without one, a FullBinOpTable over the whole lattice.
     """
     doc = _load_json(text)
     _require_keys(doc, ("neutral", "table"))
@@ -168,6 +168,8 @@ def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
                 raise ReferenceToUnknownElement(f"domain {key} {dom_doc[key]!r} is not a lattice element")
         spec = IntervalSpec(dom_doc["low"], dom_doc["high"])
         rows = lat.interval(spec)
+    elif role is not None:
+        raise ParseError(f"a {role} document needs a 'domain'")
     else:
         spec = None
         rows = lat.elements

@@ -23,7 +23,7 @@ from .binop import (
 from .construct import ConstructionSpec, Family, check_characteristic, check_hypotheses
 from .errors import AxiomViolation, DomainTooLarge, InvalidArgument, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
-from .unary import CLOSURE, INTERIOR, UnaryOpTable, validate_unary
+from .unary import CLOSURE, UnaryOpTable, validate_unary
 
 MAX_UNARY_LATTICE = 12
 MAX_BINOP_DOMAIN = 5
@@ -149,8 +149,7 @@ def enumerate_admissible_pairs(
     """
     if pool_cap is not None and pool_cap < 0:
         raise InvalidArgument(f"pool_cap must be 0 or more, got {pool_cap}")
-    kind = CLOSURE if family.closure_based else INTERIOR
-    pool = list(islice(enumerate_unary(lat, SearchConstraints(kind=kind)), pool_cap))
+    pool = list(islice(enumerate_unary(lat, SearchConstraints(kind=family.kind)), pool_cap))
     for op_low in pool:
         for op_inc in pool:
             spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)

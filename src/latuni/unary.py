@@ -8,13 +8,14 @@ order.
 
 Interior operators are the closure operators of the dual lattice: there is
 one axiom check, the closure one, and an interior map is checked by running
-it on ``lat.dual()`` with the axiom names mapped CL -> IN.
+it on ``lat.dual()`` with the axiom names mapped CL -> IN.  The search and
+the constructions likewise read an interior map in the dual order; only
+:func:`dualize_operator` re-certifies an operator on the dual lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import AxiomViolation, MismatchedLattice, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
@@ -35,11 +36,6 @@ class UnaryOpTable:
 
     def __call__(self, x) -> str:
         return self.mapping[x]
-
-    @cached_property
-    def dual(self) -> "UnaryOpTable":
-        """The same map on ``lattice.dual()``, kind flipped (memoised)."""
-        return dualize_operator(self, self.lattice.dual())
 
     def __eq__(self, other):
         return (

@@ -1,8 +1,12 @@
+from itertools import product
+
 import pytest
 
 from latuni import (
     CLOSURE,
     INTERIOR,
+    TCONORM,
+    TNORM,
     ConstructionSpec,
     Family,
     FullBinOpTable,
@@ -24,6 +28,7 @@ from latuni import (
     validate_uninorm,
 )
 from latuni.errors import HypothesesNotChecked, MismatchedLattice
+from latuni.search import SearchConstraints, enumerate_unary
 from reference_tables import INTERIOR_TABLES, TABLES
 from report_digest import report_digest
 
@@ -419,11 +424,56 @@ def test_strict_interior_construction_is_dual_of_strict_closure(fx_l3):
             assert dual_table(x, y) == original(x, y)
 
 
-def test_dual_hypotheses_and_characteristic_agree(fx_l1):
+def _rows(report):
+    # Everything in a row but its statement, which is in the family's terms.
+    return [(r.name, r.passed, r.witnesses, r.vacuous) for r in report.rows]
+
+
+def test_dual_hypotheses_and_characteristic_agree(fx_l1, fx_l3):
     spec = fx_l1.spec()
     dual = _dual_spec(fx_l1, Family.INT)
     assert check_hypotheses(dual).passed == check_hypotheses(spec).passed
     assert check_characteristic(dual).passed == check_characteristic(spec).passed
+    # An interior spec against the closure spec built here on the dual
+    # lattice from the same maps: every row, the notes and the built table
+    # agree, over the first and the last ten interior operators squared
+    # (the characteristic conditions fail on the first, and hold on some
+    # pairs of the last).
+    cases = [(fx_l1, Family.INT, Family.CLO), (fx_l3, Family.INT_STRICT, Family.CLO_STRICT)]
+    for fx, family, closure_family in cases:
+        lat, e = fx.lattice, fx.e
+        dual = lat.dual()
+        pool = list(enumerate_unary(lat, SearchConstraints(kind=INTERIOR)))
+        pool = pool[:10] + pool[-10:]
+        mirrored = {op: dualize_operator(op, dual) for op in pool}
+        boundary = meet_tnorm(lat, e)
+        dual_boundary = join_tconorm(dual, e)  # the same table: join in the dual is meet
+        passed = {"hypotheses": 0, "characteristic": 0}
+        for op_low, op_inc in product(pool, repeat=2):
+            spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)
+            ref = ConstructionSpec(closure_family, dual, e, dual_boundary, mirrored[op_low], mirrored[op_inc])
+            hyp, ref_hyp = check_hypotheses(spec), check_hypotheses(ref)
+            assert _rows(hyp) == _rows(ref_hyp)
+            if hyp.passed:
+                char, ref_char = check_characteristic(spec), check_characteristic(ref)
+                assert _rows(char) == _rows(ref_char) and char.notes == ref_char.notes
+                passed["hypotheses"] += 1
+                passed["characteristic"] += char.passed
+            assert construct(spec).table == construct(ref).table
+        assert 0 < passed["characteristic"] < passed["hypotheses"] < len(pool) ** 2
+
+
+def test_family_members_carry_kind_and_role():
+    expected = {
+        Family.CLO: (True, False, CLOSURE, TCONORM),
+        Family.INT: (False, False, INTERIOR, TNORM),
+        Family.CLO_STRICT: (True, True, CLOSURE, TCONORM),
+        Family.INT_STRICT: (False, True, INTERIOR, TNORM),
+    }
+    assert list(expected) == list(Family)
+    for family, attributes in expected.items():
+        assert (family.closure_based, family.strict, family.kind, family.role) == attributes
+        assert Family(family.value) is family
 
 
 # -- structural class predicate ----------------------------------------------

@@ -214,6 +214,8 @@ def test_cli_bad_usage_is_exit_2(capsys):
 
 
 CHAIN3 = {"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]], "bottom": "0", "top": "1"}
+# A full table on CHAIN3: well formed, but no t-(co)norm document.
+CHAIN3_JOIN = {"0": {"0": "0", "a": "a", "1": "1"}, "a": {"0": "a", "a": "a", "1": "1"}, "1": {"0": "1", "a": "1", "1": "1"}}
 
 
 @pytest.mark.parametrize(
@@ -246,6 +248,15 @@ def test_cli_malformed_document_is_exit_2(tmp_path, capsys, patch, operator):
     _assert_one_error_line(capsys)
 
 
+def test_cli_document_not_utf8_is_exit_2(tmp_path, capsys):
+    # CHAIN3 with "a" renamed to an e-acute, written in Latin-1.
+    text = json.dumps(CHAIN3).replace('"a"', '"\u00e9"')
+    lattice = tmp_path / "lattice.json"
+    lattice.write_bytes(text.encode("latin-1"))
+    assert cli_main(["validate", "--lattice", str(lattice)]) == 2
+    _assert_one_error_line(capsys)
+
+
 def _assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -267,6 +278,11 @@ def _assert_one_error_line(capsys):
         ("boundary", {"neutral": "a", "domain": {"low": 0, "high": "1"}, "table": {}}),
         ("boundary", {"neutral": "a", "domain": {"low": "a", "high": ["1"]}, "table": {}}),
         ("boundary", {"neutral": "a", "domain": {"low": "zz", "high": "1"}, "table": {}}),
+        ("boundary", {"neutral": "a", "table": CHAIN3_JOIN}),
+        ("boundary", {"neutral": "a", "domain": None, "table": CHAIN3_JOIN}),
+        ("boundary-clo2", {"neutral": "a", "table": CHAIN3_JOIN}),
+        ("search-pairs", {"neutral": "a", "table": CHAIN3_JOIN}),
+        ("search-pairs", {"neutral": "a", "domain": None, "table": CHAIN3_JOIN}),
     ],
 )
 def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, document):
@@ -274,11 +290,21 @@ def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, do
     lattice.write_text(json.dumps(CHAIN3))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps({"kind": "closure", "preset": "identity"}))
     argv = {
         "operator": ["validate", "--lattice", str(lattice), "--operator", str(path)],
         "verify": ["verify", "--lattice", str(lattice), "--binop", str(path)],
         "boundary": [
             "construct", "--family", "km-s", "--lattice", str(lattice),
+            "--e", "a", "--boundary", str(path),
+        ],
+        "boundary-clo2": [
+            "construct", "--family", "clo2", "--lattice", str(lattice), "--e", "a",
+            "--boundary", str(path), "--op-low", str(identity), "--op-inc", str(identity),
+        ],
+        "search-pairs": [
+            "search-pairs", "--family", "int2", "--lattice", str(lattice),
             "--e", "a", "--boundary", str(path),
         ],
     }[command]
