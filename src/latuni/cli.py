@@ -27,7 +27,6 @@ from .errors import InvalidArgument, LatuniError, ParseError
 from .fixtures import FIXTURES
 from .lattice import IntervalSpec
 from .search import (
-    SearchConstraints,
     enumerate_admissible_pairs,
     enumerate_partial_binops,
     enumerate_unary,
@@ -126,8 +125,7 @@ def cmd_classify(args) -> int:
 
 def cmd_search_closures(args) -> int:
     lat = documents.parse_lattice(_read(args.lattice))
-    constraints = SearchConstraints(kind=args.kind)
-    for op in enumerate_unary(lat, constraints):
+    for op in enumerate_unary(lat, args.kind):
         print(json.dumps({"kind": op.kind, "map": {x: op.mapping[x] for x in lat.elements}}))
     return 0
 

@@ -28,6 +28,8 @@ def _load_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, too deep
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("document root must be a JSON object")
     return doc
@@ -217,11 +219,13 @@ def serialize_binop(op) -> str:
 
 # -- rendering ---------------------------------------------------------------
 
-def render_table(binop: FullBinOpTable, corner: str = "U") -> str:
+CORNER = "U"
+
+
+def render_table(binop: FullBinOpTable) -> str:
     """Fixed-width grid with header row/column in declared element order."""
-    lat = binop.lattice
-    els = lat.elements
-    width = max(len(corner), *(len(x) for x in els))
+    els = binop.lattice.elements
+    width = max(len(CORNER), *(len(x) for x in els))
     for x in els:
         for y in els:
             width = max(width, len(binop(x, y)))
@@ -229,11 +233,16 @@ def render_table(binop: FullBinOpTable, corner: str = "U") -> str:
     def cell(s):
         return s.rjust(width)
 
-    lines = [" ".join([cell(corner)] + [cell(y) for y in els])]
+    lines = [" ".join([cell(CORNER)] + [cell(y) for y in els])]
     lines.append("-" * len(lines[0]))
     for x in els:
         lines.append(" ".join([cell(x)] + [cell(binop(x, y)) for y in els]))
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(x: str) -> str:
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(lat: BoundedLattice) -> str:
@@ -244,8 +253,8 @@ def export_dot(lat: BoundedLattice) -> str:
         "  node [shape=circle];",
     ]
     for x in lat.elements:
-        lines.append(f'  "{x}";')
+        lines.append(f"  {_dot_id(x)};")
     for lo, hi in lat.covers:
-        lines.append(f'  "{lo}" -> "{hi}";')
+        lines.append(f"  {_dot_id(lo)} -> {_dot_id(hi)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ emitted.  Correctness over speed; hard size guards keep runtimes sane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -30,74 +29,25 @@ MAX_BINOP_DOMAIN = 5
 MAX_UNINORM_LATTICE = 5
 
 
-@dataclass(frozen=True)
-class SearchConstraints:
-    """Filters applied during unary-operator enumeration.
-
-    range_avoidance: (region, forbidden interval) — emitted operators map
-    the region outside the interval.  fixed_points: a partial map the
-    operator must extend.  comparability: (other mapping, region,
-    direction) with direction "below" meaning op(x) <= other(x) on the
-    region, "above" the reverse.
-    """
-
-    kind: str = CLOSURE
-    range_avoidance: Optional[tuple] = None
-    fixed_points: Optional[tuple] = None
-    comparability: Optional[tuple] = None
-
-    def fixed_map(self) -> dict:
-        return dict(self.fixed_points) if self.fixed_points else {}
-
-
-def enumerate_unary(lat: BoundedLattice, constraints: SearchConstraints) -> Iterator[UnaryOpTable]:
-    """All certified closure/interior operators passing the constraints.
+def enumerate_unary(lat: BoundedLattice, kind: str) -> Iterator[UnaryOpTable]:
+    """All certified closure or interior operators of ``lat``, by ``kind``.
 
     Deterministic lexicographic order over the declared element order;
-    the identity map is always among the results when unconstrained.
+    the identity map is always among the results.
     """
     if len(lat) > MAX_UNARY_LATTICE:
         raise LatticeTooLarge(f"unary enumeration capped at {MAX_UNARY_LATTICE} elements")
-    kind = constraints.kind
     # The interior operators of lat are the closure operators of its dual,
     # so one closure search runs on ``order``; leaves are certified on lat.
     # The search runs on positions; ``assign[i]`` is the image of element i.
     order = lat if kind == CLOSURE else lat.dual()
-    els, pos = lat.elements, lat.positions
+    els = lat.elements
     up, joins = order.up, order.joins
     n = len(els)
-
     candidates = [[j for j in range(n) if up[i] >> j & 1] for i in range(n)]
-    for x, v in constraints.fixed_map().items():
-        i = pos[x]
-        candidates[i] = [pos[v]] if pos.get(v) in candidates[i] else []
-
-    region = banned = 0  # bitmasks of positions
-    if constraints.range_avoidance:
-        reg, forbidden = constraints.range_avoidance
-        reg = set(reg)
-        region = sum(1 << i for i, x in enumerate(els) if x in reg)
-        # Read on lat: the same elements as the reversed interval of order.
-        banned = sum(1 << pos[x] for x in lat.interval(forbidden))
-
-    bound = {}
-    if constraints.comparability:
-        other, reg, direction = constraints.comparability
-        other, reg = dict(other), set(reg)
-        bound = {i: lat.index(other[x]) for i, x in enumerate(els) if x in reg}
-        # "below" in lat is "above" in the dual order.
-        cmp_below = (direction == "below") == (kind == CLOSURE)
 
     def consistent(assign, i):
         v = assign[i]
-        if region >> i & 1 and banned >> v & 1:
-            return False
-        if i in bound:
-            w = bound[i]
-            if cmp_below and not up[v] >> w & 1:
-                return False
-            if not cmp_below and not up[w] >> v & 1:
-                return False
         for j in range(i):
             w = assign[j]
             # Monotonicity against everything already assigned.
@@ -149,7 +99,7 @@ def enumerate_admissible_pairs(
     """
     if pool_cap is not None and pool_cap < 0:
         raise InvalidArgument(f"pool_cap must be 0 or more, got {pool_cap}")
-    pool = list(islice(enumerate_unary(lat, SearchConstraints(kind=family.kind)), pool_cap))
+    pool = list(islice(enumerate_unary(lat, family.kind), pool_cap))
     for op_low in pool:
         for op_inc in pool:
             spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)

@@ -32,7 +32,7 @@ from latuni import (
     structural_class_predicate,
 )
 from latuni.fixtures import FIXTURES
-from latuni.search import SearchConstraints, enumerate_unary
+from latuni.search import enumerate_unary
 
 
 def _records(pool_cap):
@@ -40,7 +40,7 @@ def _records(pool_cap):
         fx = make()
         lat, e = fx.lattice, fx.e
         pools = {
-            kind: list(islice(enumerate_unary(lat, SearchConstraints(kind=kind)), pool_cap))
+            kind: list(islice(enumerate_unary(lat, kind), pool_cap))
             for kind in (CLOSURE, INTERIOR)
         }
         boundaries = {CLOSURE: join_tconorm(lat, e), INTERIOR: meet_tnorm(lat, e)}

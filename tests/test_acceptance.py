@@ -34,7 +34,6 @@ from latuni.binop import associativity_witnesses
 from latuni.cli import cli_main
 from latuni.fixtures import FIXTURES, chain, diamond, l1_lattice, m3, n5
 from latuni.search import (
-    SearchConstraints,
     brute_force_uninorms,
     enumerate_admissible_pairs,
     enumerate_unary,
@@ -231,14 +230,14 @@ def test_09_operator_lemma_suite():
     violations = 0
     scanned = 0
     for lat in (diamond(), n5(), m3(), l1_lattice()):
-        for op in enumerate_unary(lat, SearchConstraints(kind=CLOSURE)):
+        for op in enumerate_unary(lat, CLOSURE):
             scanned += 1
             for x in lat.elements:
                 for y in lat.elements:
                     if lat.leq(x, y) and op(lat.meet(op(x), y)) != op(x):
                         violations += 1
         dual = lat.dual()
-        for op in enumerate_unary(dual, SearchConstraints(kind=INTERIOR)):
+        for op in enumerate_unary(dual, INTERIOR):
             scanned += 1
             for x in dual.elements:
                 for y in dual.elements:

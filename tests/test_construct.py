@@ -28,7 +28,7 @@ from latuni import (
     validate_uninorm,
 )
 from latuni.errors import HypothesesNotChecked, MismatchedLattice
-from latuni.search import SearchConstraints, enumerate_unary
+from latuni.search import enumerate_unary
 from reference_tables import INTERIOR_TABLES, TABLES
 from report_digest import report_digest
 
@@ -443,7 +443,7 @@ def test_dual_hypotheses_and_characteristic_agree(fx_l1, fx_l3):
     for fx, family, closure_family in cases:
         lat, e = fx.lattice, fx.e
         dual = lat.dual()
-        pool = list(enumerate_unary(lat, SearchConstraints(kind=INTERIOR)))
+        pool = list(enumerate_unary(lat, INTERIOR))
         pool = pool[:10] + pool[-10:]
         mirrored = {op: dualize_operator(op, dual) for op in pool}
         boundary = meet_tnorm(lat, e)

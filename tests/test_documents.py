@@ -166,6 +166,27 @@ def test_export_dot_edges(fx_l1):
     assert '  "e" -> "j";' in edges
 
 
+def test_export_dot_escapes_quotes_and_backslashes():
+    doc = {
+        "elements": ["0", 'a"b', "c\\", "1"],
+        "covers": [["0", 'a"b'], ["0", "c\\"], ['a"b', "1"], ["c\\", "1"]],
+        "bottom": "0",
+        "top": "1",
+    }
+    lines = export_dot(parse_lattice(json.dumps(doc))).splitlines()
+    assert lines[3:] == [
+        '  "0";',
+        '  "a\\"b";',
+        '  "c\\\\";',
+        '  "1";',
+        '  "0" -> "a\\"b";',
+        '  "0" -> "c\\\\";',
+        '  "a\\"b" -> "1";',
+        '  "c\\\\" -> "1";',
+        "}",
+    ]
+
+
 def test_export_dot_dual_reverses_edges(fx_l1):
     edges = {
         line.strip() for line in export_dot(fx_l1.lattice).splitlines() if "->" in line
@@ -283,16 +304,21 @@ def _assert_one_error_line(capsys):
         ("boundary-clo2", {"neutral": "a", "table": CHAIN3_JOIN}),
         ("search-pairs", {"neutral": "a", "table": CHAIN3_JOIN}),
         ("search-pairs", {"neutral": "a", "domain": None, "table": CHAIN3_JOIN}),
+        # Raw text: too deep for the JSON parser, or an integer past its digit limit.
+        pytest.param("lattice", "[" * 100000 + "]" * 100000, id="lattice-too-deep"),
+        pytest.param("lattice", '{"elements": ' + "1" * 5000 + "}", id="lattice-huge-integer"),
+        pytest.param("verify", "[" * 100000 + "]" * 100000, id="verify-too-deep"),
     ],
 )
 def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, document):
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps(CHAIN3))
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(document))
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
     identity = tmp_path / "identity.json"
     identity.write_text(json.dumps({"kind": "closure", "preset": "identity"}))
     argv = {
+        "lattice": ["validate", "--lattice", str(path)],
         "operator": ["validate", "--lattice", str(lattice), "--operator", str(path)],
         "verify": ["verify", "--lattice", str(lattice), "--binop", str(path)],
         "boundary": [

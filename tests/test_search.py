@@ -19,7 +19,6 @@ from latuni import (
 from latuni.errors import DomainTooLarge, LatticeTooLarge
 from latuni.fixtures import chain, diamond, m3, n5
 from latuni.search import (
-    SearchConstraints,
     brute_force_uninorms,
     enumerate_admissible_pairs,
     enumerate_partial_binops,
@@ -27,15 +26,23 @@ from latuni.search import (
 )
 
 
-def all_closure_maps(lat):
-    """Independent oracle: filter every self-map by the raw axioms."""
+def all_unary_maps(lat, kind):
+    """Independent oracle: filter every self-map by the raw axioms of kind.
+
+    Closure: extensive, join-preserving, idempotent.  Interior:
+    contractive, meet-preserving, idempotent.
+    """
+    if kind == CLOSURE:
+        below, op = (lambda x, fx: lat.leq(x, fx)), lat.join
+    else:
+        below, op = (lambda x, fx: lat.leq(fx, x)), lat.meet
     out = []
     for values in itertools.product(lat.elements, repeat=len(lat.elements)):
         f = dict(zip(lat.elements, values))
-        if not all(lat.leq(x, f[x]) for x in lat.elements):
+        if not all(below(x, f[x]) for x in lat.elements):
             continue
         if not all(
-            f[lat.join(x, y)] == lat.join(f[x], f[y])
+            f[op(x, y)] == op(f[x], f[y])
             for x in lat.elements
             for y in lat.elements
         ):
@@ -48,11 +55,18 @@ def all_closure_maps(lat):
 
 # -- unary enumeration -------------------------------------------------------
 
-@pytest.mark.parametrize("factory,count", [(diamond, 7), (m3, 12), (n5, 13)])
-def test_closure_counts_match_all_maps_oracle(factory, count):
+ORACLE_CASES = [(diamond, 7), (m3, 12), (n5, 13)]
+
+
+@pytest.mark.parametrize(
+    "kind,factory,count",
+    [pytest.param(CLOSURE, f, c, id=f"{f.__name__}-{c}") for f, c in ORACLE_CASES]
+    + [pytest.param(INTERIOR, f, c, id=f"interior-{f.__name__}-{c}") for f, c in ORACLE_CASES],
+)
+def test_closure_counts_match_all_maps_oracle(kind, factory, count):
     lat = factory()
-    expected = all_closure_maps(lat)
-    got = list(enumerate_unary(lat, SearchConstraints(kind=CLOSURE)))
+    expected = all_unary_maps(lat, kind)
+    got = list(enumerate_unary(lat, kind))
     assert len(expected) == count
     assert sorted(op.mapping.items() for op in got) == sorted(
         f.items() for f in expected
@@ -61,14 +75,14 @@ def test_closure_counts_match_all_maps_oracle(factory, count):
 
 def test_enumeration_is_deterministic():
     lat = n5()
-    first = [op.mapping for op in enumerate_unary(lat, SearchConstraints(kind=CLOSURE))]
-    second = [op.mapping for op in enumerate_unary(lat, SearchConstraints(kind=CLOSURE))]
+    first = [op.mapping for op in enumerate_unary(lat, CLOSURE)]
+    second = [op.mapping for op in enumerate_unary(lat, CLOSURE)]
     assert first == second
 
 
 def test_identity_comes_first():
     lat = diamond()
-    ops = enumerate_unary(lat, SearchConstraints(kind=CLOSURE))
+    ops = enumerate_unary(lat, CLOSURE)
     assert next(iter(ops)).mapping == {x: x for x in lat.elements}
 
 
@@ -76,86 +90,19 @@ def test_interior_enumeration_duals_closure_enumeration():
     lat = n5()
     closures = {
         tuple(sorted(op.mapping.items()))
-        for op in enumerate_unary(lat, SearchConstraints(kind=CLOSURE))
+        for op in enumerate_unary(lat, CLOSURE)
     }
     dual = lat.dual()
     interiors = {
         tuple(sorted(op.mapping.items()))
-        for op in enumerate_unary(dual, SearchConstraints(kind=INTERIOR))
+        for op in enumerate_unary(dual, INTERIOR)
     }
     assert closures == interiors
 
 
-def test_range_avoidance_constraint_filters():
-    lat = n5()
-    forbidden = IntervalSpec("b", "1")
-    region = ("a",)
-    constrained = list(
-        enumerate_unary(
-            lat,
-            SearchConstraints(kind=CLOSURE, range_avoidance=(region, forbidden)),
-        )
-    )
-    unconstrained = list(enumerate_unary(lat, SearchConstraints(kind=CLOSURE)))
-    banned = set(lat.interval(forbidden))
-    expected = [op for op in unconstrained if op("a") not in banned]
-    assert [op.mapping for op in constrained] == [op.mapping for op in expected]
-
-
-def test_fixed_points_constraint_filters():
-    lat = diamond()
-    constrained = list(
-        enumerate_unary(
-            lat, SearchConstraints(kind=CLOSURE, fixed_points=(("a", "1"),))
-        )
-    )
-    assert constrained
-    assert all(op("a") == "1" for op in constrained)
-
-
-def test_comparability_constraint_filters():
-    lat = diamond()
-    cap = {"0": "1", "a": "1", "b": "1", "1": "1"}
-    constrained = list(
-        enumerate_unary(
-            lat,
-            SearchConstraints(
-                kind=CLOSURE, comparability=(tuple(cap.items()), lat.elements, "below")
-            ),
-        )
-    )
-    unconstrained = list(enumerate_unary(lat, SearchConstraints(kind=CLOSURE)))
-    assert len(constrained) == len(unconstrained)  # the cap is the top map
-
-
-@pytest.mark.parametrize("kind", [CLOSURE, INTERIOR])
-def test_constraints_equal_filtering_both_kinds(kind):
-    lat = n5()
-    every = list(enumerate_unary(lat, SearchConstraints(kind=kind)))
-    region = ("a", "b", "c")
-    for low, high in (("0", "a"), ("b", "1"), ("a", "b")):
-        forbidden = IntervalSpec(low, high)
-        banned = set(lat.interval(forbidden))
-        got = enumerate_unary(lat, SearchConstraints(kind=kind, range_avoidance=(region, forbidden)))
-        want = [op for op in every if not any(op(x) in banned for x in region)]
-        assert [op.mapping for op in got] == [op.mapping for op in want]
-    for other in every:
-        for direction in ("below", "above"):
-            cmp = (tuple(other.mapping.items()), region, direction)
-            got = enumerate_unary(lat, SearchConstraints(kind=kind, comparability=cmp))
-            want = [
-                op for op in every
-                if all(
-                    lat.leq(op(x), other(x)) if direction == "below" else lat.leq(other(x), op(x))
-                    for x in region
-                )
-            ]
-            assert [op.mapping for op in got] == [op.mapping for op in want]
-
-
 def test_unary_guard():
     with pytest.raises(LatticeTooLarge):
-        next(iter(enumerate_unary(chain(13), SearchConstraints(kind=CLOSURE))))
+        next(iter(enumerate_unary(chain(13), CLOSURE)))
 
 
 # -- pair sweeps -------------------------------------------------------------

@@ -14,7 +14,7 @@ from latuni import (
 )
 from latuni.errors import AxiomViolation, MismatchedLattice
 from latuni.fixtures import diamond
-from latuni.search import SearchConstraints, enumerate_unary
+from latuni.search import enumerate_unary
 
 
 def brute_closure_axiom_failure(lat, mapping):
@@ -160,7 +160,7 @@ class TestOperatorLemmas:
     """Structure facts every certified operator must satisfy, full scans."""
 
     def _closures(self, lat, cap=None):
-        ops = enumerate_unary(lat, SearchConstraints(kind=CLOSURE))
+        ops = enumerate_unary(lat, CLOSURE)
         return itertools.islice(ops, cap) if cap else ops
 
     def test_absorbing_meet_lemma(self, fx_l1):
