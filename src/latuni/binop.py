@@ -195,8 +195,10 @@ def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table
         x, y = dom[i // m], dom[i % m]
         raise OutOfDomainOutput(x, y, table[x, y]) from None
     rows, cols = _rows_and_columns(t, m)
-    # The order restricted to the domain, as bitmasks of domain positions.
+    # The order restricted to the domain, as bitmasks of domain positions,
+    # and the covers inside it, which generate it since intervals are convex.
     up = [sum(1 << k for k, q in enumerate(at) if lat.up[p] >> q & 1) for p in at]
+    covers = [(local[a], local[b]) for a, b in _cover_positions(lat) if a in local and b in local]
     e = dom.index(domain.high if role == TNORM else domain.low)
     if (w := _neutral_witness(rows, cols, e)) is not None:
         raise AxiomViolation("neutral", tuple(dom[i] for i in w))
@@ -204,7 +206,7 @@ def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table
         raise AxiomViolation("commutative", tuple(dom[i] for i in w))
     if (w := _associative_witness(rows)) is not None:
         raise AxiomViolation("associative", tuple(dom[i] for i in w))
-    if (w := _monotone_witness(up, rows)) is not None:
+    if (w := _monotone_witness(up, covers, rows)) is not None:
         raise AxiomViolation("monotone", tuple(dom[i] for i in w))
     return PartialBinOpTable(lat, domain, role, table)
 
@@ -242,9 +244,10 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
     # Monotone in both arguments: the earlier of the first violations in
     # the rows and in the columns (witnesses compare in scan order).  On a
     # commutative table the columns are the rows.
-    monotone = _monotone_witness(lat.up, rows)
+    covers = _cover_positions(lat)
+    monotone = _monotone_witness(lat.up, covers, rows)
     if commutative is not None:
-        found = [w for w in (monotone, _monotone_witness(lat.up, cols)) if w is not None]
+        found = [w for w in (monotone, _monotone_witness(lat.up, covers, cols)) if w is not None]
         monotone = min(found, default=None)
 
     def check(witness) -> AxiomCheck:
@@ -293,19 +296,41 @@ def _associative_witness(rows):
     return None
 
 
-def _monotone_witness(up, rows):
+def _monotone_witness(up, covers, rows):
     """Monotonicity in the first argument over the pairs x < y, where bit y
-    of ``up[x]`` is set when x <= y; on the columns, in the second."""
+    of ``up[x]`` is set when x <= y; on the columns, in the second.
+
+    ``covers`` holds position pairs (lo, hi) whose reflexive-transitive
+    closure is the order, such as the Hasse covers.  By transitivity the
+    table is monotone when it is monotone across every cover, and every
+    witness column z is one where some cover fails, so only those columns
+    are rescanned, pair by pair, for the first witness (x, y, z).
+    """
     everything = range(len(rows))
+    failing = set()
+    for lo, hi in covers:
+        rl, rh = rows[lo], rows[hi]
+        for z in everything:
+            if not up[rl[z]] >> rh[z] & 1:
+                failing.add(z)
+    if not failing:
+        return None
+    columns = sorted(failing)
     for x in everything:
         for y in everything:
             if x == y or not up[x] >> y & 1:
                 continue
             rx, ry = rows[x], rows[y]
-            for z in everything:
+            for z in columns:
                 if not up[rx[z]] >> ry[z] & 1:
                     return x, y, z
-    return None
+    raise AssertionError("a failing cover without a failing pair")
+
+
+def _cover_positions(lat: BoundedLattice) -> tuple:
+    """The covers of ``lat`` as position pairs, memoised on the lattice."""
+    pos = lat.positions
+    return lat.derived("cover positions", lambda: tuple((pos[lo], pos[hi]) for lo, hi in lat.covers))
 
 
 def _first_difference(a, b) -> int:

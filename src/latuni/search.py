@@ -130,26 +130,34 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
     Depth-first over the cells off the neutral row and column, upper
     triangle in row-major order, each taking the values of ``dom`` in
     order; a filling is pruned as soon as it breaks monotonicity in the
-    first argument.  Cells and values are positions in ``dom``.
+    first argument.  Cells and values are positions in ``dom``.  Every
+    filled cell already agrees with the others, so a new value v at (i, j)
+    is compared only with the filled cells of column j in the rows
+    comparable to i, and likewise at its mirror (j, i): O(m) per node.
     """
     if neutral not in dom:
         raise UnknownElement(neutral)
     m = len(dom)
     up = [sum(1 << k for k, y in enumerate(dom) if lat.leq(x, y)) for x in dom]
-    # Row offsets of the pairs x < y of dom.
-    pairs = [(i * m, k * m) for i in range(m) for k in range(m) if i != k and up[i] >> k & 1]
+    # Row offsets of the rows strictly below and strictly above each row.
+    below = [[k * m for k in range(m) if k != i and up[k] >> i & 1] for i in range(m)]
+    above = [[k * m for k in range(m) if k != i and up[i] >> k & 1] for i in range(m)]
     e = dom.index(neutral)
     t = [None] * (m * m)
     for k in range(m):
         t[e * m + k] = t[k * m + e] = k
     cells = [(i, j) for i in range(m) for j in range(i, m) if e not in (i, j)]
 
-    def monotone() -> bool:
-        for rx, ry in pairs:
-            for z in range(m):
-                a, b = t[rx + z], t[ry + z]
-                if a is not None and b is not None and not up[a] >> b & 1:
-                    return False
+    def fits(i, j, v) -> bool:
+        """Whether t(i, j) = v is monotone against column j's filled cells."""
+        for r in below[i]:
+            a = t[r + j]
+            if a is not None and not up[a] >> v & 1:
+                return False
+        for r in above[i]:
+            b = t[r + j]
+            if b is not None and not up[v] >> b & 1:
+                return False
         return True
 
     def rec(c):
@@ -159,7 +167,7 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
         i, j = cells[c]
         for v in range(m):
             t[i * m + j] = t[j * m + i] = v
-            if monotone():
+            if fits(i, j, v) and (i == j or fits(j, i, v)):
                 yield from rec(c + 1)
         t[i * m + j] = t[j * m + i] = None
 

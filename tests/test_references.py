@@ -26,6 +26,7 @@ from latuni import (
     construct,
     join_tconorm,
     meet_tnorm,
+    reference_karacal_mesiar,
     validate_partial,
     validate_unary,
     validate_uninorm,
@@ -216,6 +217,37 @@ def _assert_same_partial(lat, leq, domain, role, table):
         lambda: validate_partial(lat, domain, role, table).table,
         lambda: naive_validate_partial(lat.elements, leq, domain.low, domain.high, role, table),
     )
+
+
+def test_validate_uninorm_matches_naive_on_corrupted_chain_product_table():
+    """Monotonicity is decided on the covers, and a failing table rescanned
+    at the columns where a cover fails: every one-cell corruption of the
+    Karacal-Mesiar table on the 4x5 chain product keeps the naive report."""
+    lat, e, (leq, _, _) = _site("p4x5")
+    km = reference_karacal_mesiar(lat, e, join_tconorm(lat, e), "s").table
+    _assert_same_report(FullBinOpTable(lat, km, neutral=e), leq)
+    for cell, value in km.items():
+        for other in lat.elements:
+            if other != value:
+                _assert_same_report(FullBinOpTable(lat, {**km, cell: other}, neutral=e), leq)
+
+
+def test_validate_uninorm_matches_naive_with_a_transitive_cover():
+    """A cover list may hold more than the Hasse edges; any generating set
+    of the order decides monotonicity the same.  The join and meet tables
+    of the pentagon with one cell changed, or a cell and its mirror, so that
+    a table fails at one column or at two."""
+    elements = ["0", "a", "b", "c", "1"]
+    covers = [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1"), ("0", "b")]
+    lat = build_lattice(elements, covers, "0", "1")
+    assert len(lat.covers) == 6
+    leq, _, _ = _naive(lat)
+    for op in (lat.join, lat.meet):
+        table = {(x, y): op(x, y) for x in elements for y in elements}
+        for (x, y), other in itertools.product(table, elements):
+            for bad in ({**table, (x, y): other}, {**table, (x, y): other, (y, x): other}):
+                for e in elements:
+                    _assert_same_report(FullBinOpTable(lat, bad, neutral=e), leq)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_LATTICES))

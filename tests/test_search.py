@@ -16,14 +16,17 @@ from latuni import (
     join_tconorm,
     validate_uninorm,
 )
-from latuni.errors import DomainTooLarge, LatticeTooLarge
-from latuni.fixtures import chain, diamond, m3, n5
+from latuni.errors import AxiomViolation, DomainTooLarge, LatticeTooLarge
+from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, diamond, m3, n5
 from latuni.search import (
+    _monotone_commutative_tables,
     brute_force_uninorms,
     enumerate_admissible_pairs,
     enumerate_partial_binops,
     enumerate_unary,
 )
+from naive import naive_lattice, naive_uninorm_report, naive_validate_partial
+from search_digest import search_digest
 
 
 def all_unary_maps(lat, kind):
@@ -208,6 +211,60 @@ def test_tnorm_enumeration_duals_tconorm():
     assert n_conorms == n_norms
 
 
+def commutative_tables(dom, neutral):
+    """Independent oracle: every commutative table on ``dom`` with identity
+    ``neutral``, the cells off the neutral row and column taken upper
+    triangle row-major, each over ``dom`` in order, in lexicographic order."""
+    cells = [(x, y) for i, x in enumerate(dom) for y in dom[i:] if neutral not in (x, y)]
+    for values in itertools.product(dom, repeat=len(cells)):
+        table = {(neutral, x): x for x in dom}
+        table.update({(x, neutral): x for x in dom})
+        for (x, y), v in zip(cells, values):
+            table[x, y] = table[y, x] = v
+        yield table
+
+
+def _naive_leq(lat):
+    return naive_lattice(lat.elements, lat.covers, lat.bottom, lat.top)[0]
+
+
+# The members of SMALL_LATTICES with at most 4 elements: at most 4**6
+# commutative tables for each neutral element.
+SMALL_DFS_LATTICES = {name: make for name, make in SMALL_LATTICES.items() if len(make()) <= 4}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DFS_LATTICES) + sorted(FIXTURES))
+def test_partial_binops_match_filtering_every_commutative_table(name):
+    """On every interval of at most 4 elements, both roles: the search's
+    leaves are exactly the monotone tables, and its t-(co)norms the tables
+    the naive checks certify, both in lexicographic order."""
+    lat = SMALL_DFS_LATTICES[name]() if name in SMALL_DFS_LATTICES else FIXTURES[name]().lattice
+    leq = _naive_leq(lat)
+    intervals = 0
+    for low, high in itertools.product(lat.elements, repeat=2):
+        if (low, high) not in leq:
+            continue
+        domain = IntervalSpec(low, high)
+        dom = lat.interval(domain)
+        if len(dom) > 4:
+            continue
+        intervals += 1
+        for role, neutral in ((TNORM, high), (TCONORM, low)):
+            leaves, expected = [], []
+            for table in commutative_tables(dom, neutral):
+                if naive_uninorm_report(dom, leq, table, neutral)["monotone"]["ok"]:
+                    leaves.append(table)
+                try:
+                    naive_validate_partial(lat.elements, leq, low, high, role, table)
+                except AxiomViolation:
+                    continue
+                expected.append(table)
+            assert list(_monotone_commutative_tables(lat, dom, neutral)) == leaves, (low, high, role)
+            got = [p.table for p in enumerate_partial_binops(lat, domain, role)]
+            assert got == expected, (low, high, role)
+    assert intervals
+
+
 def test_binop_guard():
     with pytest.raises(DomainTooLarge):
         next(iter(enumerate_partial_binops(chain(6), IntervalSpec("c0", "c5"), TCONORM)))
@@ -223,6 +280,31 @@ def test_brute_force_uninorms_are_valid_and_deterministic():
     for u in first:
         report = validate_uninorm(u)
         assert report.ok and u.neutral == "a"
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DFS_LATTICES))
+def test_brute_force_uninorms_match_filtering_every_commutative_table(name):
+    """The search's leaves are exactly the monotone tables, and its
+    uninorms the tables passing every axiom, both in lexicographic order."""
+    lat = SMALL_DFS_LATTICES[name]()
+    leq = _naive_leq(lat)
+    for e in lat.elements:
+        tables = list(commutative_tables(lat.elements, e))
+        reports = [naive_uninorm_report(lat.elements, leq, table, e) for table in tables]
+        leaves = [table for table, report in zip(tables, reports) if report["monotone"]["ok"]]
+        expected = [
+            table for table, report in zip(tables, reports)
+            if all(check["ok"] for check in report.values())
+        ]
+        assert list(_monotone_commutative_tables(lat, lat.elements, e)) == leaves, e
+        got = list(brute_force_uninorms(lat, e))
+        assert [u.table for u in got] == expected and all(u.neutral == e for u in got), e
+
+
+def test_searches_match_pinned_digest():
+    """Every table both searches yield, in order, on the small lattices and
+    l1-l3 (``search_digest.py``)."""
+    assert search_digest() == ("8bbd20bca551624a3def962a295ff9c11270053c8998a2dc5dd3697653ef2b09", 1448)
 
 
 def test_constructed_tables_appear_in_brute_force(fx_l1):
