@@ -9,7 +9,7 @@ declared element order so the first witness is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AxiomViolation,
@@ -25,6 +25,16 @@ TNORM = "tnorm"
 TCONORM = "tconorm"
 
 
+def role_neutral(role: str, domain: IntervalSpec) -> str:
+    """The neutral element of a t-norm or t-conorm on ``domain``: a t-norm's
+    is the domain's top, a t-conorm's its bottom."""
+    if role == TNORM:
+        return domain.high
+    if role == TCONORM:
+        return domain.low
+    raise ValueError(f"role must be {TNORM!r} or {TCONORM!r}")
+
+
 @dataclass(frozen=True)
 class PartialBinOpTable:
     """A certified t-norm or t-conorm on a closed subinterval."""
@@ -32,23 +42,18 @@ class PartialBinOpTable:
     lattice: BoundedLattice
     domain: IntervalSpec
     role: str
-    table: dict = field(compare=False)
+    table: dict
 
     @property
     def domain_elements(self) -> tuple[str, ...]:
         return self.lattice.interval(self.domain)
 
+    @property
+    def neutral(self) -> str:
+        return role_neutral(self.role, self.domain)
+
     def __call__(self, x, y) -> str:
         return self.table[x, y]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartialBinOpTable)
-            and self.lattice == other.lattice
-            and self.domain == other.domain
-            and self.role == other.role
-            and self.table == other.table
-        )
 
     def __hash__(self):
         return hash((self.domain, self.role, tuple(sorted(self.table.items()))))
@@ -59,19 +64,11 @@ class FullBinOpTable:
     """A total binary operation on the lattice with a claimed neutral element."""
 
     lattice: BoundedLattice
-    table: dict = field(compare=False)
-    neutral: str = ""
+    table: dict
+    neutral: str
 
     def __call__(self, x, y) -> str:
         return self.table[x, y]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FullBinOpTable)
-            and self.lattice == other.lattice
-            and self.table == other.table
-            and self.neutral == other.neutral
-        )
 
     def __hash__(self):
         return hash((self.neutral, tuple(sorted(self.table.items()))))
@@ -109,18 +106,6 @@ class AxiomReport:
                 ("neutral", self.neutral),
             )
         }
-
-
-CLASS_NAMES = (
-    "u_min",
-    "u_max",
-    "u_min_star",
-    "u_max_star",
-    "u_min_r",
-    "u_max_r",
-    "u_min_1",
-    "u_max_0",
-)
 
 
 @dataclass
@@ -178,8 +163,7 @@ def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table
     monotone.  The table is read once into positions of the domain; every
     scan runs row-major over declared element order.
     """
-    if role not in (TNORM, TCONORM):
-        raise ValueError(f"role must be {TNORM!r} or {TCONORM!r}")
+    neutral = role_neutral(role, domain)
     if domain.low_open or domain.high_open:
         raise ValueError("partial operation domains must be closed intervals")
     dom = lat.interval(domain)
@@ -199,7 +183,7 @@ def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table
     # and the covers inside it, which generate it since intervals are convex.
     up = [sum(1 << k for k, q in enumerate(at) if lat.up[p] >> q & 1) for p in at]
     covers = [(local[a], local[b]) for a, b in _cover_positions(lat) if a in local and b in local]
-    e = dom.index(domain.high if role == TNORM else domain.low)
+    e = dom.index(neutral)
     if (w := _neutral_witness(rows, cols, e)) is not None:
         raise AxiomViolation("neutral", tuple(dom[i] for i in w))
     if (w := _commutative_witness(rows, cols)) is not None:

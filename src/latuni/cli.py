@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error or an
-argument the library rejects (a bound as the neutral element, a negative
-pool cap).  With --json, machine-readable reports go to stdout;
-human-readable summaries otherwise.  All output is byte-deterministic for
-fixed inputs.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error (among
+them an unknown element id, or an interval whose low is not below its
+high, named on the command line or in a document) or an argument the
+library rejects (a bound as the neutral element, a negative pool cap).
+With --json, machine-readable reports go to stdout; human-readable
+summaries otherwise.  All output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .construct import (
 )
 from .errors import InvalidArgument, LatuniError, ParseError
 from .fixtures import FIXTURES
-from .lattice import IntervalSpec
 from .search import (
     enumerate_admissible_pairs,
     enumerate_partial_binops,
@@ -85,7 +85,7 @@ def cmd_construct(args) -> int:
 
     op_low = pick(low_src, args.op_low, "--op-low")
     op_inc = pick(inc_src, args.op_inc, "--op-inc")
-    spec = ConstructionSpec(family, lat, args.e, boundary, op_low, op_inc)
+    spec = ConstructionSpec(family, lat, documents.element(lat, args.e, "--e"), boundary, op_low, op_inc)
 
     hyp = check_hypotheses(spec)
     if not hyp.passed:
@@ -134,7 +134,8 @@ def cmd_search_pairs(args) -> int:
     lat = documents.parse_lattice(_read(args.lattice))
     family = Family(args.family)
     boundary = documents.parse_binop(_read(args.boundary), lat, role=family.role)
-    for spec, tag in enumerate_admissible_pairs(lat, args.e, family, boundary, pool_cap=args.pool_cap):
+    e = documents.element(lat, args.e, "--e")
+    for spec, tag in enumerate_admissible_pairs(lat, e, family, boundary, pool_cap=args.pool_cap):
         print(
             json.dumps(
                 {
@@ -149,7 +150,7 @@ def cmd_search_pairs(args) -> int:
 
 def cmd_search_tconorms(args) -> int:
     lat = documents.parse_lattice(_read(args.lattice))
-    domain = IntervalSpec(args.low, args.high)
+    domain = documents.closed_interval(lat, args.low, args.high, "--low", "--high")
     for op in enumerate_partial_binops(lat, domain, TCONORM):
         dom = op.domain_elements
         print(json.dumps({"domain": list(dom), "table": {x: {y: op(x, y) for y in dom} for x in dom}}))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .binop import FullBinOpTable, PartialBinOpTable, validate_partial
+from .binop import FullBinOpTable, PartialBinOpTable, role_neutral, validate_partial
 from .errors import ParseError, ReferenceToUnknownElement
 from .lattice import BoundedLattice, IntervalSpec, build_lattice
 from .unary import CLOSURE, INTERIOR, UnaryOpTable, validate_unary
@@ -43,6 +43,22 @@ def _require_keys(doc: dict, keys) -> None:
 
 def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def element(lat: BoundedLattice, x: str, what: str) -> str:
+    """``x``, an element id given from outside (``what`` names where), when
+    ``lat`` has it; ReferenceToUnknownElement otherwise."""
+    if x not in lat:
+        raise ReferenceToUnknownElement(f"{what} {x!r} is not a lattice element")
+    return x
+
+
+def closed_interval(lat: BoundedLattice, low: str, high: str, low_name: str, high_name: str) -> IntervalSpec:
+    """[low, high], an interval named from outside, when both ends are
+    elements of ``lat`` and low <= high; a ParseError otherwise."""
+    if not lat.leq(element(lat, low, low_name), element(lat, high, high_name)):
+        raise ParseError(f"{low_name} {low!r} is not below {high_name} {high!r}")
+    return IntervalSpec(low, high)
 
 
 # -- lattice documents -------------------------------------------------------
@@ -156,8 +172,7 @@ def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
     neutral = doc["neutral"]
     if not isinstance(neutral, str):
         raise ParseError("'neutral' must be a string")
-    if neutral not in lat:
-        raise ReferenceToUnknownElement(f"neutral {neutral!r} is not a lattice element")
+    element(lat, neutral, "neutral")
     if "domain" in doc and doc["domain"] is not None:
         dom_doc = doc["domain"]
         if not isinstance(dom_doc, dict):
@@ -165,10 +180,9 @@ def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
         _require_keys(dom_doc, ("low", "high"))
         if not _is_string_list([dom_doc["low"], dom_doc["high"]]):
             raise ParseError("domain 'low' and 'high' must be strings")
-        for key in ("low", "high"):
-            if dom_doc[key] not in lat:
-                raise ReferenceToUnknownElement(f"domain {key} {dom_doc[key]!r} is not a lattice element")
-        spec = IntervalSpec(dom_doc["low"], dom_doc["high"])
+        spec = closed_interval(lat, dom_doc["low"], dom_doc["high"], "domain low", "domain high")
+        if role is not None and neutral != (want := role_neutral(role, spec)):
+            raise ParseError(f"a {role} on [{spec.low}, {spec.high}] has neutral element {want!r}, not {neutral!r}")
         rows = lat.interval(spec)
     elif role is not None:
         raise ParseError(f"a {role} document needs a 'domain'")
@@ -206,14 +220,11 @@ def serialize_binop(op) -> str:
     lat = op.lattice
     if isinstance(op, PartialBinOpTable):
         rows = op.domain_elements
-        doc = {
-            "neutral": op.domain.high if op.role == "tnorm" else op.domain.low,
-            "domain": {"low": op.domain.low, "high": op.domain.high},
-        }
+        domain = {"low": op.domain.low, "high": op.domain.high}
     else:
         rows = lat.elements
-        doc = {"neutral": op.neutral, "domain": None}
-    doc["table"] = {x: {y: op(x, y) for y in rows} for x in rows}
+        domain = None
+    doc = {"neutral": op.neutral, "domain": domain, "table": {x: {y: op(x, y) for y in rows} for x in rows}}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -12,13 +12,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Optional
 
-from .binop import (
-    FullBinOpTable,
-    PartialBinOpTable,
-    TNORM,
-    validate_partial,
-    validate_uninorm,
-)
+from .binop import FullBinOpTable, PartialBinOpTable, role_neutral, validate_partial, validate_uninorm
 from .construct import ConstructionSpec, Family, check_characteristic, check_hypotheses
 from .errors import AxiomViolation, DomainTooLarge, InvalidArgument, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
@@ -115,8 +109,7 @@ def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: st
     dom = lat.interval(domain)
     if len(dom) > MAX_BINOP_DOMAIN:
         raise DomainTooLarge(f"binop enumeration capped at {MAX_BINOP_DOMAIN} elements")
-    neutral = domain.high if role == TNORM else domain.low
-    for table in _monotone_commutative_tables(lat, dom, neutral):
+    for table in _monotone_commutative_tables(lat, dom, role_neutral(role, domain)):
         try:
             yield validate_partial(lat, domain, role, table)
         except AxiomViolation:

@@ -2,9 +2,10 @@
 
 An operator is stored as an explicit total map and cannot exist
 uncertified: :func:`validate_unary` is the only constructor, and it checks
-the three defining axioms plus monotonicity before returning.  Witnesses
-for a failed axiom come from the first violation in declared element
-order.
+the three defining axioms before returning.  Monotonicity is not checked
+apart: it follows from axiom 2, since x <= y gives f(y) = f(x v y) =
+f(x) v f(y) >= f(x).  Witnesses for a failed axiom come from the first
+violation in declared element order.
 
 Interior operators are the closure operators of the dual lattice: there is
 one axiom check, the closure one, and an interior map is checked by running
@@ -30,20 +31,12 @@ class UnaryOpTable:
 
     lattice: BoundedLattice
     kind: str
-    mapping: dict = field(compare=False)
+    mapping: dict
     # The map on positions: image[i] is the position of op(elements[i]).
     image: tuple = field(compare=False, repr=False)
 
     def __call__(self, x) -> str:
         return self.mapping[x]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnaryOpTable)
-            and self.lattice == other.lattice
-            and self.kind == other.kind
-            and self.mapping == other.mapping
-        )
 
     def __hash__(self):
         return hash((self.kind, tuple(sorted(self.mapping.items()))))
@@ -53,8 +46,8 @@ def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
     """Certify a self-map as a closure or interior operator.
 
     Raises AxiomViolation naming the first violated axiom (CL1/CL2/CL3 or
-    IN1/IN2/IN3, plus the derived monotonicity CL4/IN4) with witness
-    elements.
+    IN1/IN2/IN3) with witness elements.  Monotonicity follows from axiom 2
+    and is not checked apart.
     """
     if kind not in (CLOSURE, INTERIOR):
         raise ValueError(f"kind must be {CLOSURE!r} or {INTERIOR!r}, got {kind!r}")
@@ -72,7 +65,7 @@ def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
     # All go in declared element order, so each witness is the first
     # violation in that order.
     order, name = (lat, "CL") if kind == CLOSURE else (lat.dual(), "IN")
-    els, up, joins = lat.elements, order.up, order.joins
+    els, joins = lat.elements, order.joins
     n = len(els)
     f = tuple(lat.positions[mapping[x]] for x in els)
     everything = range(n)
@@ -90,12 +83,6 @@ def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
     for x in everything:
         if f[f[x]] != f[x]:
             raise AxiomViolation(f"{name}3", (els[x],))
-    # Monotonicity follows from axiom 2; re-checked directly as a guard.
-    for x in everything:
-        below, above = up[x], up[f[x]]
-        for y in everything:
-            if below >> y & 1 and not above >> f[y] & 1:
-                raise AxiomViolation(f"{name}4", (els[x], els[y]))
     return UnaryOpTable(lat, kind, mapping, f)
 
 

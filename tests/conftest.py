@@ -1,6 +1,6 @@
 import pytest
 
-from latuni.fixtures import l1, l2, l3, chain, diamond, m3, n5
+from latuni.fixtures import SMALL_LATTICES, l1, l2, l3
 
 
 @pytest.fixture(scope="session")
@@ -20,11 +20,4 @@ def fx_l3():
 
 @pytest.fixture(scope="session")
 def small_lattices():
-    return {
-        "chain3": chain(3),
-        "chain4": chain(4),
-        "chain5": chain(5),
-        "m2": diamond(),
-        "m3": m3(),
-        "n5": n5(),
-    }
+    return {name: make() for name, make in SMALL_LATTICES.items()}

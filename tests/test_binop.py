@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +55,26 @@ def test_meet_is_a_tnorm_on_lower_interval(fx_l1):
     assert t("a", "b") == "a" and t("e", "b") == "b"
 
 
+def test_partial_tables_name_their_neutral_element(fx_l1):
+    lat = fx_l1.lattice
+    assert join_tconorm(lat, "e").neutral == meet_tnorm(lat, "e").neutral == "e"
+    assert join_tconorm(lat, "0").neutral == "0" and meet_tnorm(lat, "1").neutral == "1"
+
+
+def test_partial_tables_are_equal_when_their_fields_are(fx_l1):
+    lat, s = fx_l1.lattice, fx_l1.tconorm
+    again = join_tconorm(lat, "e")
+    assert again is not s and again == s and hash(again) == hash(s)
+    for other in (
+        replace(s, table={**s.table, ("j", "j"): "1"}),
+        replace(s, role=TNORM),
+        replace(s, domain=IntervalSpec("e", "j")),
+        replace(s, lattice=lat.dual()),
+        FullBinOpTable(lat, dict(s.table), neutral="e"),
+    ):
+        assert s != other and other != s
+
+
 def test_partial_rejects_out_of_domain_output(fx_l1):
     lat = fx_l1.lattice
     dom = lat.interval(IntervalSpec("e", "1"))
@@ -101,6 +122,21 @@ def test_reference_table_passes_all_axioms(fx_l1):
     table = FullBinOpTable(fx_l1.lattice, dict(L1_TABLE), neutral="e")
     report = validate_uninorm(table)
     assert report.ok
+
+
+def test_full_tables_are_equal_when_their_fields_are(fx_l1):
+    lat = fx_l1.lattice
+    u = FullBinOpTable(lat, dict(L1_TABLE), neutral="e")
+    again = FullBinOpTable(lat, dict(L1_TABLE), neutral="e")
+    assert again is not u and again == u and hash(again) == hash(u)
+    assert construct(fx_l1.spec()) == u
+    for other in (
+        FullBinOpTable(lat, {**L1_TABLE, ("a", "j"): "1"}, neutral="e"),
+        FullBinOpTable(lat, dict(L1_TABLE), neutral="j"),
+        FullBinOpTable(lat.dual(), dict(L1_TABLE), neutral="e"),
+        restrict_to_interval(u, IntervalSpec("e", "1"), TCONORM),
+    ):
+        assert u != other and other != u
 
 
 def test_mutated_cell_is_detected(fx_l1):

@@ -9,6 +9,7 @@ from latuni import (
     CLOSURE,
     INTERIOR,
     TCONORM,
+    TNORM,
     ConstructionSpec,
     Family,
     check_characteristic,
@@ -65,6 +66,11 @@ def test_partial_binop_round_trip(fx_l1):
     s = fx_l1.tconorm
     back = parse_binop(serialize_binop(s), fx_l1.lattice, role=TCONORM)
     assert back == s
+
+
+def test_serialize_binop_writes_the_bundled_tconorm_documents(fx_l1, fx_l2, fx_l3):
+    for fx in (fx_l1, fx_l2, fx_l3):
+        assert serialize_binop(fx.tconorm) == data_text(f"{fx.name}.tconorm.json")
 
 
 def test_full_binop_round_trip(fx_l1):
@@ -133,6 +139,17 @@ def test_binop_missing_cell_names_the_cell(fx_l1):
     with pytest.raises(ParseError) as err:
         parse_binop(json.dumps(doc), fx_l1.lattice)
     assert "'j'" in str(err.value) and "'a'" in str(err.value)
+
+
+@pytest.mark.parametrize("role,neutral", [(TCONORM, "1"), (TCONORM, "a"), (TNORM, "0"), (TNORM, "j")])
+def test_tconorm_or_tnorm_document_declares_its_domain_bound_as_neutral(fx_l1, role, neutral):
+    lat = fx_l1.lattice
+    op = fx_l1.tconorm if role == TCONORM else meet_tnorm(lat, "e")
+    doc = json.loads(serialize_binop(op))
+    doc["neutral"] = neutral
+    with pytest.raises(ParseError) as err:
+        parse_binop(json.dumps(doc), lat, role=role)
+    assert str(err.value).endswith(f"has neutral element 'e', not {neutral!r}")
 
 
 def test_binop_unknown_value(fx_l1):
@@ -237,6 +254,8 @@ def test_cli_bad_usage_is_exit_2(capsys):
 CHAIN3 = {"elements": ["0", "a", "1"], "covers": [["0", "a"], ["a", "1"]], "bottom": "0", "top": "1"}
 # A full table on CHAIN3: well formed, but no t-(co)norm document.
 CHAIN3_JOIN = {"0": {"0": "0", "a": "a", "1": "1"}, "a": {"0": "a", "a": "a", "1": "1"}, "1": {"0": "1", "a": "1", "1": "1"}}
+# The join on [a, 1]: a t-conorm with neutral element a.
+CHAIN3_UPPER_JOIN = {"a": {"a": "a", "1": "1"}, "1": {"a": "1", "1": "1"}}
 
 
 @pytest.mark.parametrize(
@@ -308,6 +327,9 @@ def _assert_one_error_line(capsys):
         pytest.param("lattice", "[" * 100000 + "]" * 100000, id="lattice-too-deep"),
         pytest.param("lattice", '{"elements": ' + "1" * 5000 + "}", id="lattice-huge-integer"),
         pytest.param("verify", "[" * 100000 + "]" * 100000, id="verify-too-deep"),
+        ("boundary", {"neutral": "1", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
+        ("boundary", {"neutral": "0", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
+        ("boundary", {"neutral": "1", "domain": {"low": "1", "high": "a"}, "table": CHAIN3_UPPER_JOIN}),
     ],
 )
 def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, document):
@@ -426,7 +448,7 @@ def test_cli_construct_operator_presets_match_library(
 
 
 @pytest.mark.parametrize("command,family", [("construct", "km-s"), ("search-pairs", "clo2")])
-@pytest.mark.parametrize("e", ["0", "1"])
+@pytest.mark.parametrize("e", ["0", "1", "zz"])
 def test_cli_neutral_at_a_bound_is_exit_2(capsys, command, family, e):
     argv = [
         command, "--family", family, "--lattice", data_path("l1.lattice.json"),
@@ -590,6 +612,13 @@ def test_cli_search_tconorms(tmp_path, capsys):
     )
     assert rc == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("low,high", [("zz", "1"), ("0", "zz"), ("1", "0"), ("a", "m")])
+def test_cli_search_tconorms_bad_interval_is_exit_2(capsys, low, high):
+    argv = ["search-tconorms", "--lattice", data_path("l1.lattice.json"), "--low", low, "--high", high]
+    assert cli_main(argv) == 2
+    _assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "l3"])

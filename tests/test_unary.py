@@ -1,13 +1,16 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from latuni import (
     CLOSURE,
     INTERIOR,
+    FullBinOpTable,
     IntervalSpec,
     dualize_operator,
     identity_operator,
+    join_tconorm,
     pointwise_leq_on,
     range_avoids,
     validate_unary,
@@ -100,6 +103,20 @@ def test_violation_carries_named_axiom_and_witness(fx_l1):
         validate_unary(lat, CLOSURE, bad)
     assert err.value.axiom == "CL1"
     assert err.value.witnesses == ("j",)
+
+
+def test_operators_are_equal_when_lattice_kind_and_map_are(fx_l1):
+    lat, op = fx_l1.lattice, fx_l1.cl1
+    again = validate_unary(lat, CLOSURE, dict(op.mapping))
+    assert again is not op and again == op and hash(again) == hash(op)
+    for other in (
+        replace(op, mapping={**op.mapping, "a": "e"}),
+        replace(op, kind=INTERIOR),
+        replace(op, lattice=lat.dual()),
+        join_tconorm(lat, "e"),
+        FullBinOpTable(lat, {(x, y): lat.join(x, y) for x in lat.elements for y in lat.elements}, neutral="0"),
+    ):
+        assert op != other and other != op
 
 
 def test_pointwise_leq_on_l1(fx_l1):
