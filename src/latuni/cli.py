@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 usage or parse error (among
 them an unknown element id, or an interval whose low is not below its
 high, named on the command line or in a document) or an argument the
-library rejects (a bound as the neutral element, a negative pool cap).
+library rejects (a bound as the neutral element, a negative pool cap, a
+lattice or interval past an enumeration cap).
 With --json, machine-readable reports go to stdout; human-readable
 summaries otherwise.  All output is byte-deterministic for fixed inputs.
 """
@@ -24,7 +25,7 @@ from .construct import (
     check_hypotheses,
     construct,
 )
-from .errors import InvalidArgument, LatuniError, ParseError
+from .errors import DomainTooLarge, InvalidArgument, LatticeTooLarge, LatuniError, ParseError
 from .fixtures import FIXTURES
 from .search import (
     enumerate_admissible_pairs,
@@ -276,7 +277,7 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, InvalidArgument) as exc:
+    except (ParseError, InvalidArgument, DomainTooLarge, LatticeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatuniError as exc:

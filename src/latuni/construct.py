@@ -233,16 +233,21 @@ def _partition(lat: BoundedLattice, e: str, strict: bool) -> _Partition:
     return lat.derived(("partition", e, strict), make)
 
 
+def comparability_region(spec: ConstructionSpec) -> tuple:
+    """Where op_low must lie below op_inc in the spec's order: the bottom,
+    ]0,e[ and I_e of the order's partition, everything outside its [e,1]."""
+    part = _partition(_order(spec), spec.e, spec.family.strict).members
+    return part[RegionLabel.ZERO] + part[RegionLabel.LOW_OPEN] + part[RegionLabel.INC]
+
+
 def check_hypotheses(spec: ConstructionSpec) -> ConditionReport:
     """Structural preconditions of the spec's family; failures are data."""
     family, op_low, op_inc, boundary = spec.family, spec.op_low, spec.op_inc, spec.boundary
-    part = _partition(_order(spec), spec.e, family.strict).members
     kinds_ok = op_low.kind == family.kind and op_inc.kind == family.kind
     dom_ok = boundary.role == family.role and boundary.domain == _boundary_interval(spec)
-    outside_upper = part[RegionLabel.ZERO] + part[RegionLabel.LOW_OPEN] + part[RegionLabel.INC]
     # op_low below op_inc in the order: the reverse on an interior lattice.
     below, above = (op_low, op_inc) if family.closure_based else (op_inc, op_low)
-    cmp_ok, cmp_wit = pointwise_leq_on(below, above, outside_upper)
+    cmp_ok, cmp_wit = pointwise_leq_on(below, above, comparability_region(spec))
     return ConditionReport([
         _row(spec, "operator_kinds", kinds_ok, () if kinds_ok else (op_low.kind, op_inc.kind)),
         _row(spec, "boundary_domain", dom_ok, () if dom_ok else (boundary.role,)),

@@ -4,7 +4,10 @@ Everything here is filtered generation with early pruning: candidate maps
 are produced depth-first in lexicographic order over the declared element
 order, partial assignments are pruned against cheap necessary conditions,
 and every survivor is re-certified by the real validator before being
-emitted.  Correctness over speed; hard size guards keep runtimes sane.
+emitted.  Operator pairs are pruned the same way: bitmasks over the pool
+pick each first operator's comparable partners at once, and every pair
+that survives is re-certified by ``check_hypotheses``.  Correctness over
+speed; hard size guards keep runtimes sane.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .binop import FullBinOpTable, PartialBinOpTable, role_neutral, validate_partial, validate_uninorm
-from .construct import ConstructionSpec, Family, check_characteristic, check_hypotheses
+from .construct import ConstructionSpec, Family, check_characteristic, check_hypotheses, comparability_region
 from .errors import AxiomViolation, DomainTooLarge, InvalidArgument, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, UnaryOpTable, validate_unary
@@ -86,22 +89,41 @@ def enumerate_admissible_pairs(
 ) -> Iterator[tuple]:
     """All operator pairs passing the family's hypotheses.
 
-    Yields (spec, characteristic_pass) in lexicographic pool order.  The
-    operator pool may be capped (first pool_cap operators in enumeration
-    order) to bound quadratic pair growth on larger lattices; a cap of 0
-    yields nothing and a negative cap raises InvalidArgument, a ValueError.
+    Yields (spec, characteristic_pass) in lexicographic pool order.  Bit
+    operations find each op_low's partners at once: the pool operators b
+    with op_low(x) <= b(x) in the family's order on the comparability
+    region.  A spec is built only for those pairs, and each is re-certified
+    by ``check_hypotheses``.  The operator pool may be capped (first
+    pool_cap operators in enumeration order) to bound quadratic pair growth
+    on larger lattices; a cap of 0 yields nothing and a negative cap raises
+    InvalidArgument, a ValueError.
     """
     if pool_cap is not None and pool_cap < 0:
         raise InvalidArgument(f"pool_cap must be 0 or more, got {pool_cap}")
     pool = list(islice(enumerate_unary(lat, family.kind), pool_cap))
-    for op_low in pool:
-        for op_inc in pool:
-            spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)
+    if not pool:
+        return
+    # The spec checks e and the boundary's lattice before any mask is built.
+    region = comparability_region(ConstructionSpec(family, lat, e, boundary, pool[0], pool[0]))
+    # An interior family is decided in lat.dual(), whose up-sets are lat's down-sets.
+    up = lat.up if family.closure_based else lat.down
+    partners = [(1 << len(pool)) - 1] * len(pool)
+    for x in map(lat.index, region):
+        # at_least[v]: the b with v <= b(x), a union of the b with b(x) = w over w >= v.
+        with_image = [0] * len(lat)
+        for k, b in enumerate(pool):
+            with_image[b.image[x]] |= 1 << k
+        at_least = [sum(m for w, m in enumerate(with_image) if above >> w & 1) for above in up]
+        for k, a in enumerate(pool):
+            partners[k] &= at_least[a.image[x]]
+    for op_low, mask in zip(pool, partners):
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            spec = ConstructionSpec(family, lat, e, boundary, op_low, pool[bit.bit_length() - 1])
             hyp = check_hypotheses(spec)
-            if not hyp.passed:
-                continue
-            char = check_characteristic(spec, hypotheses=hyp)
-            yield spec, char.passed
+            if hyp.passed:
+                yield spec, check_characteristic(spec, hypotheses=hyp).passed
 
 
 def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: str) -> Iterator[PartialBinOpTable]:

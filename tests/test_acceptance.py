@@ -5,6 +5,8 @@ captured output of a failure) and asserts the same verdict, so the
 summary and the exit status always agree.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -128,13 +130,19 @@ IFF_COUNTS = {
     ("l3", "int2"): (15363, 504),
     ("l3", "int2-strict"): (15363, 504),
 }
+# sha256 of the admitted stream of those runs, in order: each pair's
+# fixture, family, op_low and op_inc images in element order, and
+# characteristic verdict, as one JSON array.
+IFF_STREAM_SHA256 = "26f955182533d7928bd15b4512848a27ee14be2e35cebb65d42bc462391b08db"
 
 
 def test_05_characteristic_conditions_are_iff(fx_l1, fx_l2, fx_l3):
     mismatches = 0
     checked = 0
     counts = {}
+    stream = hashlib.sha256()
     for fx in (fx_l1, fx_l2, fx_l3):
+        els = fx.lattice.elements
         for family in Family:
             boundary = _family_boundary(fx, family)
             pairs = uninorms = 0
@@ -142,6 +150,10 @@ def test_05_characteristic_conditions_are_iff(fx_l1, fx_l2, fx_l3):
                 fx.lattice, fx.e, family, boundary
             ):
                 pairs += 1
+                stream.update(json.dumps([
+                    fx.name, family.value, [spec.op_low(x) for x in els],
+                    [spec.op_inc(x) for x in els], char_pass,
+                ]).encode())
                 valid = validate_uninorm(construct(spec)).ok
                 uninorms += valid
                 if valid != char_pass:
@@ -151,7 +163,8 @@ def test_05_characteristic_conditions_are_iff(fx_l1, fx_l2, fx_l3):
     _verdict(
         5,
         f"characteristic pass equals uninorm validity on all {checked} admissible pairs",
-        checked > 0 and mismatches == 0 and counts == IFF_COUNTS,
+        checked > 0 and mismatches == 0 and counts == IFF_COUNTS
+        and stream.hexdigest() == IFF_STREAM_SHA256,
     )
 
 

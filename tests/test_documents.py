@@ -29,6 +29,7 @@ from latuni import (
 from latuni import cli
 from latuni.cli import cli_main
 from latuni.errors import ParseError, ReferenceToUnknownElement
+from latuni.fixtures import chain
 
 DATA = resources.files("latuni") / "data"
 
@@ -619,6 +620,19 @@ def test_cli_search_tconorms_bad_interval_is_exit_2(capsys, low, high):
     argv = ["search-tconorms", "--lattice", data_path("l1.lattice.json"), "--low", low, "--high", high]
     assert cli_main(argv) == 2
     _assert_one_error_line(capsys)
+
+
+def test_cli_request_past_an_enumeration_cap_is_exit_2(tmp_path, capsys):
+    # [0,1] of l1 has 10 elements, past the binop domain cap of 5.
+    argv = ["search-tconorms", "--lattice", data_path("l1.lattice.json"), "--low", "0", "--high", "1"]
+    assert cli_main(argv) == 2
+    _assert_one_error_line(capsys)
+    # 13 elements, past the unary lattice cap of 12.
+    lattice = tmp_path / "chain13.json"
+    lattice.write_text(serialize_lattice(chain(13)))
+    for kind in ("closure", "interior"):
+        assert cli_main(["search-closures", "--lattice", str(lattice), "--kind", kind]) == 2
+        _assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "l3"])

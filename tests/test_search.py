@@ -7,16 +7,27 @@ import pytest
 from latuni import (
     CLOSURE,
     INTERIOR,
+    ConstructionSpec,
     Family,
     IntervalSpec,
     TCONORM,
     TNORM,
+    check_characteristic,
+    check_hypotheses,
     classify,
     construct,
     join_tconorm,
+    meet_tnorm,
+    search,
     validate_uninorm,
 )
-from latuni.errors import AxiomViolation, DomainTooLarge, LatticeTooLarge
+from latuni.errors import (
+    AxiomViolation,
+    DomainTooLarge,
+    InvalidArgument,
+    LatticeTooLarge,
+    MismatchedLattice,
+)
 from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, diamond, m3, n5
 from latuni.search import (
     _monotone_commutative_tables,
@@ -155,6 +166,78 @@ def test_iff_sweep_script_rejects_a_negative_pool_cap(capsys):
         script.main(["--pool-cap", "-1"])
     assert exit_.value.code == 2
     assert "--pool-cap" in capsys.readouterr().err
+
+
+def test_admissible_pairs_raise_the_spec_errors_on_the_first_pair(fx_l2):
+    lat = fx_l2.lattice
+    boundary = join_tconorm(lat, "e")
+
+    def first(e, boundary, **kwargs):
+        return next(enumerate_admissible_pairs(lat, e, Family.CLO, boundary, **kwargs), None)
+
+    with pytest.raises(MismatchedLattice):
+        first("zz", boundary)
+    for bound in (lat.bottom, lat.top):
+        with pytest.raises(InvalidArgument):
+            first(bound, boundary)
+    with pytest.raises(MismatchedLattice):
+        first("e", join_tconorm(lat.dual(), "e"))
+    assert first("zz", boundary, pool_cap=0) is None
+
+
+def reference_pairs(lat, e, family, boundary, pool_cap=None):
+    """Independent reference: every ordered pool pair, in pool order, that
+    passes the hypotheses, with its characteristic verdict."""
+    pool = list(itertools.islice(enumerate_unary(lat, family.kind), pool_cap))
+    for op_low in pool:
+        for op_inc in pool:
+            spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)
+            hyp = check_hypotheses(spec)
+            if hyp.passed:
+                yield spec, check_characteristic(spec, hypotheses=hyp).passed
+
+
+def _family_boundary(lat, e, family):
+    return join_tconorm(lat, e) if family.closure_based else meet_tnorm(lat, e)
+
+
+STREAM_CASES = [
+    pytest.param(name, e, family, cap, id=f"{name}-{e}-{family.value}-cap{cap}")
+    for name, e, cap in [
+        (name, e, None) for name, make in sorted(SMALL_LATTICES.items()) for e in make().elements[1:-1]
+    ] + [("l2", "e", cap) for cap in (None, 0, 1, 2, 5)]
+    for family in Family
+]
+
+
+@pytest.mark.parametrize("name,e,family,pool_cap", STREAM_CASES)
+def test_admissible_pairs_match_checking_every_pair(name, e, family, pool_cap, monkeypatch):
+    """The search yields the reference stream, and hypothesis-checks only
+    the pairs it yields: its comparability filter is exact."""
+    lat = FIXTURES[name]().lattice if name in FIXTURES else SMALL_LATTICES[name]()
+    boundary = _family_boundary(lat, e, family)
+
+    def stream(pairs):
+        return [(s.op_low.mapping, s.op_inc.mapping, verdict) for s, verdict in pairs]
+
+    expected = stream(reference_pairs(lat, e, family, boundary, pool_cap))
+    checked = []
+
+    def counted(spec):
+        checked.append(spec)
+        return check_hypotheses(spec)
+
+    monkeypatch.setattr(search, "check_hypotheses", counted)
+    assert stream(enumerate_admissible_pairs(lat, e, family, boundary, pool_cap=pool_cap)) == expected
+    assert len(checked) == len(expected)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_admissible_pairs_on_a_wrong_boundary_domain_are_none(fx_l2, family):
+    lat = fx_l2.lattice
+    boundary = _family_boundary(lat, "a", family)
+    assert list(reference_pairs(lat, "e", family, boundary)) == []
+    assert list(enumerate_admissible_pairs(lat, "e", family, boundary)) == []
 
 
 def test_admissible_pairs_includes_fixture_pair(fx_l2):
