@@ -20,7 +20,7 @@ from latuni.fixtures import FIXTURES
 from latuni.search import enumerate_admissible_pairs
 
 
-def sweep(fixture_name, family, pool_cap=None):
+def sweep(fixture_name, family):
     fx = FIXTURES[fixture_name]()
     if family.closure_based:
         boundary = join_tconorm(fx.lattice, fx.e)
@@ -30,7 +30,7 @@ def sweep(fixture_name, family, pool_cap=None):
     # Admission is the time spent inside the pair generator; build is
     # construct plus validate_uninorm on each pair it yields.
     admit = build = 0.0
-    pairs = enumerate_admissible_pairs(fx.lattice, fx.e, family, boundary, pool_cap=pool_cap)
+    pairs = enumerate_admissible_pairs(fx.lattice, fx.e, family, boundary)
     while True:
         start = time.perf_counter()
         pair = next(pairs, None)
@@ -62,13 +62,7 @@ def main(argv=None):
         "--family", choices=[f.value for f in Family], action="append", default=None,
         help="restrict to one or more families (default: all)",
     )
-    parser.add_argument(
-        "--pool-cap", type=int, default=None,
-        help="cap the operator pool to its first N members",
-    )
     args = parser.parse_args(argv)
-    if args.pool_cap is not None and args.pool_cap < 0:
-        parser.error("--pool-cap must be 0 or more")
     fixtures = args.fixture or sorted(FIXTURES)
     families = [Family(f) for f in args.family] if args.family else list(Family)
 
@@ -76,7 +70,7 @@ def main(argv=None):
     start = time.perf_counter()
     for name in fixtures:
         for family in families:
-            bad += sweep(name, family, pool_cap=args.pool_cap)
+            bad += sweep(name, family)
     if bad:
         print(f"FAILED: {bad} mismatching pairs")
     else:

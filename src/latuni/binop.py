@@ -464,9 +464,3 @@ def strictness_check(partial: PartialBinOpTable):
     )
     return not witnesses, witnesses
 
-
-def restrict_to_interval(candidate: FullBinOpTable, domain: IntervalSpec, role: str) -> PartialBinOpTable:
-    """Certify the restriction of a full table to a closed subinterval."""
-    dom = candidate.lattice.interval(domain)
-    table = {(x, y): candidate(x, y) for x in dom for y in dom}
-    return validate_partial(candidate.lattice, domain, role, table)

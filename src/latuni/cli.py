@@ -200,7 +200,13 @@ def _axiom_text(report) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser shared by every ``cli_main`` call of the process.
+
+    Built on first use, not at import: building it costs many times what
+    parsing one command line does, and parsing leaves it unchanged.
+    """
     parser = argparse.ArgumentParser(prog="latuni")
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,19 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser shared by every ``cli_main`` call of the process.
-
-    Built on first use, not at import: building it costs many times what
-    parsing one command line does, and parsing leaves it unchanged.
-    """
-    return build_parser()
-
-
 def cli_main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -14,7 +14,7 @@ which makes witness reporting and all exports deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BoundsNotComparable,
@@ -35,6 +35,7 @@ class IntervalSpec:
     high_open: bool = False
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class BoundedLattice:
     """Immutable finite bounded lattice.
 
@@ -43,26 +44,17 @@ class BoundedLattice:
     joins before any table is trusted.
     """
 
-    __slots__ = (
-        "elements", "covers", "bottom", "top",
-        "positions", "up", "down", "meets", "joins", "_dual", "_memo",
-    )
-
-    def __init__(self, elements, covers, bottom, top, positions, up, down, meets, joins):
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "covers", tuple(covers))
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-        object.__setattr__(self, "meets", meets)
-        object.__setattr__(self, "joins", joins)
-        object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BoundedLattice is immutable")
+    elements: tuple[str, ...]
+    covers: tuple[tuple[str, str], ...]
+    bottom: str
+    top: str
+    positions: dict[str, int]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    meets: tuple[int, ...]
+    joins: tuple[int, ...]
+    _dual: BoundedLattice | None = field(default=None, init=False)
+    _memo: dict = field(default_factory=dict, init=False)
 
     def __len__(self):
         return len(self.elements)
@@ -169,7 +161,7 @@ class BoundedLattice:
         """
         if self._dual is None:
             dual = BoundedLattice(
-                self.elements, [(hi, lo) for lo, hi in self.covers], self.top, self.bottom,
+                self.elements, tuple((hi, lo) for lo, hi in self.covers), self.top, self.bottom,
                 self.positions, self.down, self.up, self.joins, self.meets,
             )
             object.__setattr__(dual, "_dual", self)
@@ -244,5 +236,5 @@ def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
             meets.append(meet)
             joins.append(join)
     return BoundedLattice(
-        elements, covers, bottom, top, pos, tuple(up), tuple(down), tuple(meets), tuple(joins)
+        elements, tuple(covers), bottom, top, pos, tuple(up), tuple(down), tuple(meets), tuple(joins)
     )

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from latuni import (
+    Family,
     FullBinOpTable,
     IntervalSpec,
     TCONORM,
@@ -17,7 +18,7 @@ from latuni import (
     validate_partial,
     validate_uninorm,
 )
-from latuni.binop import associativity_witnesses, restrict_to_interval
+from latuni.binop import associativity_witnesses
 from latuni.errors import (
     AxiomViolation,
     NotAPartition,
@@ -25,7 +26,8 @@ from latuni.errors import (
     NotCommutative,
     OutOfDomainOutput,
 )
-from latuni.fixtures import chain, m3, n5
+from latuni.fixtures import FIXTURES, chain, m3, n5
+from latuni.search import enumerate_admissible_pairs
 from reference_tables import L1_TABLE, L2_TABLE
 
 
@@ -134,7 +136,7 @@ def test_full_tables_are_equal_when_their_fields_are(fx_l1):
         FullBinOpTable(lat, {**L1_TABLE, ("a", "j"): "1"}, neutral="e"),
         FullBinOpTable(lat, dict(L1_TABLE), neutral="j"),
         FullBinOpTable(lat.dual(), dict(L1_TABLE), neutral="e"),
-        restrict_to_interval(u, IntervalSpec("e", "1"), TCONORM),
+        fx_l1.tconorm,
     ):
         assert u != other and other != u
 
@@ -154,10 +156,23 @@ def test_meet_is_a_uninorm_with_top_neutral(fx_l1):
     assert report.ok
 
 
-def test_restriction_of_uninorm_is_tconorm(fx_l1):
-    u = construct(fx_l1.spec())
-    s = restrict_to_interval(u, IntervalSpec("e", "1"), TCONORM)
-    assert s.role == TCONORM
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_restriction_to_the_boundary_domain_is_the_boundary(name, family):
+    # Whether or not the built table is a uninorm, it agrees with its
+    # boundary t-conorm (or t-norm) on the boundary's domain.
+    fx = FIXTURES[name]()
+    lat = fx.lattice
+    boundary = join_tconorm(lat, fx.e) if family.closure_based else meet_tnorm(lat, fx.e)
+    dom = boundary.domain_elements
+    specs = [spec for spec, _ in enumerate_admissible_pairs(lat, fx.e, family, boundary, pool_cap=8)]
+    assert specs
+    if family is fx.family:
+        specs.append(fx.spec())  # the worked example, past the pool cap
+    for spec in specs:
+        u = construct(spec)
+        table = {(x, y): u(x, y) for x in dom for y in dom}
+        assert validate_partial(lat, boundary.domain, boundary.role, table) == boundary
 
 
 # -- partitioned associativity ----------------------------------------------

@@ -671,9 +671,9 @@ def test_cli_shared_parser_keeps_no_state_between_calls(tmp_path, fx_l1):
 
     alone = []
     for argv in sequence:
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         alone.append(run(argv))
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     assert [run(argv) for argv in sequence] == alone
     assert [rc for rc, _, _ in alone] == [0, 0, 2, 0, 0]
-    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().misses == 1

@@ -101,6 +101,20 @@ def test_dual_involution(fx_l1):
     assert lat.dual().dual() is lat and lat.dual() is lat.dual()
 
 
+def test_lattice_fields_can_be_neither_assigned_nor_deleted():
+    lat = diamond()
+    dual = lat.dual()
+    spec = IntervalSpec("0", "a")
+    span = lat.interval(spec)
+    for name in ("top", "up", "_memo"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, None)
+        with pytest.raises(AttributeError):
+            delattr(lat, name)
+    assert lat.top == "1" and lat.dual() is dual and dual.dual() is lat
+    assert lat.interval(spec) is span
+
+
 def test_dual_equals_lattice_built_from_reversed_covers(fx_l1, fx_l3):
     for lat in (fx_l1.lattice, fx_l3.lattice):
         rebuilt = build_lattice(

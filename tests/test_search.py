@@ -157,15 +157,15 @@ def test_admissible_pairs_pool_cap_of_zero_admits_nothing(fx_l2):
             pairs(cap)
 
 
-def test_iff_sweep_script_rejects_a_negative_pool_cap(capsys):
+def test_iff_sweep_script_runs_one_sweep_clean(capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_iff_sweep.py"
     spec = importlib.util.spec_from_file_location("run_iff_sweep", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    with pytest.raises(SystemExit) as exit_:
-        script.main(["--pool-cap", "-1"])
-    assert exit_.value.code == 2
-    assert "--pool-cap" in capsys.readouterr().err
+    assert script.main(["--fixture", "l2", "--family", "clo2"]) == 0
+    out = capsys.readouterr().out
+    assert "pairs=  3513 uninorms=   792 mismatches=0" in out
+    assert "all sweeps clean" in out
 
 
 def test_admissible_pairs_raise_the_spec_errors_on_the_first_pair(fx_l2):
