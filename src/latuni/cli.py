@@ -181,10 +181,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _report_text(label: str, report) -> str:
     lines = [f"{label}: {'pass' if report.passed else 'FAIL'}"]
     for row in report.rows:
-        status = "pass" if row.passed else "FAIL"
-        if row.vacuous:
-            status += " (vacuous)"
-        lines.append(f"  {row.name}: {status}  {row.statement}")
+        lines.append(f"  {row.name}: {'pass' if row.passed else 'FAIL'}  {row.statement}")
         if row.witnesses and not row.passed:
             lines.append(f"    witnesses: {', '.join(map(str, row.witnesses))}")
     return "\n".join(lines)

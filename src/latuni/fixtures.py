@@ -1,18 +1,21 @@
 """Bundled worked-example lattices and operators.
 
 Three 9-to-11 element lattices (l1, l2, l3) with their closure-operator
-pairs and join-based boundary t-conorms, plus a handful of small standard
+pairs and join-based boundary t-conorms, read from the lattice and
+operator documents bundled in ``data/``, plus a handful of small standard
 lattices used by the property suites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 
 from .binop import PartialBinOpTable, join_tconorm
 from .construct import ConstructionSpec, Family
+from .documents import parse_lattice, parse_operator
 from .lattice import BoundedLattice, build_lattice
-from .unary import CLOSURE, UnaryOpTable, validate_unary
+from .unary import UnaryOpTable
 
 
 @dataclass(frozen=True)
@@ -31,75 +34,30 @@ class Fixture:
         )
 
 
-def l1_lattice() -> BoundedLattice:
-    return build_lattice(
-        ["0", "a", "b", "e", "m", "k", "s", "n", "j", "1"],
-        [
-            ("0", "m"), ("m", "k"), ("m", "s"), ("k", "n"), ("s", "n"),
-            ("n", "j"), ("0", "a"), ("a", "b"), ("b", "e"), ("e", "j"),
-            ("j", "1"),
-        ],
-        bottom="0",
-        top="1",
-    )
+_DATA = resources.files(__package__) / "data"
+
+
+def _worked_example(name: str, family: Family) -> Fixture:
+    """The example ``name`` read from its lattice and operator documents in
+    ``data/``, with neutral element e and the join t-conorm as boundary."""
+    def read(doc: str) -> str:
+        return (_DATA / f"{name}.{doc}.json").read_text(encoding="utf-8")
+
+    lat = parse_lattice(read("lattice"))
+    cl1, cl2 = (parse_operator(read(f"{op}.op"), lat) for op in ("cl1", "cl2"))
+    return Fixture(name, lat, "e", cl1, cl2, join_tconorm(lat, "e"), family)
 
 
 def l1() -> Fixture:
-    lat = l1_lattice()
-    cl1 = validate_unary(lat, CLOSURE, {
-        "0": "0", "a": "b", "b": "b", "e": "e", "m": "k",
-        "k": "k", "s": "n", "n": "n", "j": "j", "1": "1",
-    })
-    cl2 = validate_unary(lat, CLOSURE, {
-        "0": "k", "a": "j", "b": "j", "e": "j", "m": "k",
-        "k": "k", "s": "n", "n": "n", "j": "j", "1": "1",
-    })
-    return Fixture("l1", lat, "e", cl1, cl2, join_tconorm(lat, "e"), Family.CLO)
-
-
-def l2_lattice() -> BoundedLattice:
-    return build_lattice(
-        ["0", "a", "e", "m", "k", "s", "n", "b", "1"],
-        [
-            ("0", "m"), ("m", "k"), ("m", "s"), ("k", "n"), ("s", "n"),
-            ("n", "1"), ("0", "a"), ("a", "e"), ("e", "b"), ("b", "1"),
-        ],
-        bottom="0",
-        top="1",
-    )
+    return _worked_example("l1", Family.CLO)
 
 
 def l2() -> Fixture:
-    lat = l2_lattice()
-    cl1 = validate_unary(lat, CLOSURE, {x: x for x in lat.elements})
-    cl2 = validate_unary(lat, CLOSURE, {x: lat.join(x, "k") for x in lat.elements})
-    return Fixture("l2", lat, "e", cl1, cl2, join_tconorm(lat, "e"), Family.CLO)
-
-
-def l3_lattice() -> BoundedLattice:
-    return build_lattice(
-        ["0", "r", "a", "e", "l", "m", "n", "b", "c", "t", "1"],
-        [
-            ("0", "l"), ("0", "r"), ("l", "m"), ("m", "n"), ("n", "c"),
-            ("r", "a"), ("a", "b"), ("b", "c"), ("c", "1"), ("a", "e"),
-            ("e", "t"), ("t", "1"),
-        ],
-        bottom="0",
-        top="1",
-    )
+    return _worked_example("l2", Family.CLO)
 
 
 def l3() -> Fixture:
-    lat = l3_lattice()
-    cl1 = validate_unary(lat, CLOSURE, {
-        "0": "0", "r": "a", "a": "a", "e": "e", "l": "n", "m": "n",
-        "n": "n", "b": "c", "c": "c", "t": "t", "1": "1",
-    })
-    cl2 = validate_unary(lat, CLOSURE, {
-        "0": "a", "r": "a", "a": "a", "e": "e", "l": "c", "m": "c",
-        "n": "c", "b": "c", "c": "c", "t": "t", "1": "1",
-    })
-    return Fixture("l3", lat, "e", cl1, cl2, join_tconorm(lat, "e"), Family.CLO_STRICT)
+    return _worked_example("l3", Family.CLO_STRICT)
 
 
 FIXTURES = {"l1": l1, "l2": l2, "l3": l3}

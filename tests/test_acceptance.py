@@ -34,7 +34,7 @@ from latuni import (
 )
 from latuni.binop import associativity_witnesses
 from latuni.cli import cli_main
-from latuni.fixtures import FIXTURES, chain, diamond, l1_lattice, m3, n5
+from latuni.fixtures import FIXTURES, chain, diamond, l1, m3, n5
 from latuni.search import (
     brute_force_uninorms,
     enumerate_admissible_pairs,
@@ -242,7 +242,7 @@ def test_08_identity_collapse(fx_l1, fx_l2, fx_l3):
 def test_09_operator_lemma_suite():
     violations = 0
     scanned = 0
-    for lat in (diamond(), n5(), m3(), l1_lattice()):
+    for lat in (diamond(), n5(), m3(), l1().lattice):
         for op in enumerate_unary(lat, CLOSURE):
             scanned += 1
             for x in lat.elements:

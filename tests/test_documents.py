@@ -50,12 +50,11 @@ def test_lattice_round_trip(fx_l1):
 
 
 def test_bundled_lattice_documents_match_fixtures(fx_l1, fx_l2, fx_l3):
+    # The fixtures are read from the bundled lattice and operator documents;
+    # the t-conorm documents are not, so they are checked against the join
+    # t-conorm each fixture builds.
     for fx in (fx_l1, fx_l2, fx_l3):
-        lat = parse_lattice(data_text(f"{fx.name}.lattice.json"))
-        assert lat == fx.lattice
-        assert parse_operator(data_text(f"{fx.name}.cl1.op.json"), lat) == fx.cl1
-        assert parse_operator(data_text(f"{fx.name}.cl2.op.json"), lat) == fx.cl2
-        assert parse_binop(data_text(f"{fx.name}.tconorm.json"), lat, role=TCONORM) == fx.tconorm
+        assert parse_binop(data_text(f"{fx.name}.tconorm.json"), fx.lattice, role=TCONORM) == fx.tconorm
 
 
 def test_operator_round_trip(fx_l1):
@@ -331,6 +330,10 @@ def _assert_one_error_line(capsys):
         ("boundary", {"neutral": "1", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
         ("boundary", {"neutral": "0", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
         ("boundary", {"neutral": "1", "domain": {"low": "1", "high": "a"}, "table": CHAIN3_UPPER_JOIN}),
+        ("operator", {"kind": "closure", "map": {"0": "zz", "a": "a", "1": "1"}}),
+        ("operator", {"kind": "interior", "preset": "meet-with:zz"}),
+        # A t-conorm document: partial, and verify names no role for it.
+        ("verify", {"neutral": "a", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
     ],
 )
 def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, document):
@@ -399,6 +402,29 @@ def test_cli_construct_km_preset_needs_no_operators(capsys):
         ]
     )
     assert rc == 0
+
+
+def test_cli_construct_without_a_required_operator_is_exit_2(capsys):
+    argv = [
+        "construct", "--family", "clo2", "--lattice", data_path("l1.lattice.json"),
+        "--e", "e", "--boundary", data_path("l1.tconorm.json"),
+    ]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: --family clo2 requires --op-low\n"
+
+
+def test_cli_construct_reports_a_failed_hypothesis(capsys):
+    # l2's operators swapped: op_low = x v k is not below op_inc = x outside [e, 1].
+    argv = [
+        "construct", "--family", "clo2", "--lattice", data_path("l2.lattice.json"),
+        "--e", "e", "--boundary", data_path("l2.tconorm.json"),
+        "--op-low", data_path("l2.cl2.op.json"), "--op-inc", data_path("l2.cl1.op.json"),
+    ]
+    assert cli_main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "hypotheses: FAIL"
+    assert out[3].startswith("  comparability: FAIL  ")
+    assert out[4] == "    witnesses: 0, a, m, s"
 
 
 def _library_construct(spec):

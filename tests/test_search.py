@@ -27,6 +27,7 @@ from latuni.errors import (
     InvalidArgument,
     LatticeTooLarge,
     MismatchedLattice,
+    UnknownElement,
 )
 from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, diamond, m3, n5
 from latuni.search import (
@@ -415,3 +416,10 @@ def test_class_inclusions_hold_for_every_uninorm(factory, e):
 def test_uninorm_guard():
     with pytest.raises(LatticeTooLarge):
         next(iter(brute_force_uninorms(chain(6), "c1")))
+
+
+def test_brute_force_uninorms_rejects_an_unknown_neutral():
+    uninorms = brute_force_uninorms(diamond(), "zz")
+    with pytest.raises(UnknownElement) as info:
+        next(uninorms)
+    assert info.value.element == "zz"
