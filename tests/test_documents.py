@@ -330,10 +330,6 @@ def _assert_one_error_line(capsys):
         ("boundary", {"neutral": "1", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
         ("boundary", {"neutral": "0", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
         ("boundary", {"neutral": "1", "domain": {"low": "1", "high": "a"}, "table": CHAIN3_UPPER_JOIN}),
-        ("operator", {"kind": "closure", "map": {"0": "zz", "a": "a", "1": "1"}}),
-        ("operator", {"kind": "interior", "preset": "meet-with:zz"}),
-        # A t-conorm document: partial, and verify names no role for it.
-        ("verify", {"neutral": "a", "domain": {"low": "a", "high": "1"}, "table": CHAIN3_UPPER_JOIN}),
     ],
 )
 def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, document):
@@ -362,6 +358,32 @@ def test_cli_malformed_operator_or_binop_is_exit_2(tmp_path, capsys, command, do
     }[command]
     assert cli_main(argv) == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "operator,message",
+    [
+        (
+            {"kind": "closure", "map": {"0": "zz", "a": "a", "1": "1"}},
+            "operator map entry '0' -> 'zz' references an unknown element",
+        ),
+        ({"kind": "interior", "preset": "meet-with:zz"}, "preset element 'zz' unknown"),
+    ],
+)
+def test_cli_operator_with_unknown_element_is_exit_2(tmp_path, capsys, operator, message):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(CHAIN3))
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps(operator))
+    assert cli_main(["validate", "--lattice", str(lattice), "--operator", str(op)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_verify_partial_binop_without_role_is_exit_2(capsys):
+    # l1's t-conorm document is partial; verify names no role for it.
+    argv = ["verify", "--lattice", data_path("l1.lattice.json"), "--binop", data_path("l1.tconorm.json")]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: a partial binop document needs a role to certify against\n"
 
 
 def test_cli_construct_matches_library(fx_l1, capsys):
