@@ -3,8 +3,11 @@
 
 For each bundled fixture lattice and each construction family, enumerate
 every operator pair passing the structural hypotheses, build the table,
-and compare validate_uninorm against check_characteristic.  A mismatch
-would refute the if-and-only-if claim the library is built around.  Each
+and compare validate_uninorm against the characteristic verdict the pair
+generator yields.  That verdict is read off per-operator verdicts, each
+decided by check_characteristic on the diagonal pair (op, op).  A
+mismatch would refute the if-and-only-if claim the library is built
+around, or the per-operator reading of the conditions.  Each
 run prints its time split into pair admission (inside the pair generator)
 and build (construct plus validate_uninorm).
 

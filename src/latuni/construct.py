@@ -258,6 +258,12 @@ def check_hypotheses(spec: ConstructionSpec) -> ConditionReport:
 def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport | None = None) -> ConditionReport:
     """The family's if-and-only-if conditions for the built table to be a uninorm.
 
+    Each row reads one input of the spec besides the lattice and e:
+    range_low reads only op_low, range_inc only op_inc, and
+    boundary_strict (strict families) and the vacuous flag only the
+    boundary and the case partition.  Pair admission in ``search`` relies
+    on this to decide each operator once, from the report of (op, op).
+
     For the strict families, when the relevant open interval is empty the
     operator values never enter the table, so no operator condition is
     characteristic there; the rows are still reported, marked vacuous, and

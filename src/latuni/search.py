@@ -6,17 +6,27 @@ order, partial assignments are pruned against cheap necessary conditions,
 and every survivor is re-certified by the real validator before being
 emitted.  Operator pairs are pruned the same way: bitmasks over the pool
 pick each first operator's comparable partners at once, and every pair
-that survives is re-certified by ``check_hypotheses``.  Correctness over
-speed; hard size guards keep runtimes sane.
+that survives is re-certified by ``check_hypotheses``.  Each
+characteristic row reads one operator of the pair, so
+``check_characteristic`` runs once per pool operator, not once per pair.
+Correctness over speed; hard size guards keep runtimes sane.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import islice
 from typing import Iterator, Optional
 
 from .binop import FullBinOpTable, PartialBinOpTable, role_neutral, validate_partial, validate_uninorm
-from .construct import ConstructionSpec, Family, check_characteristic, check_hypotheses, comparability_region
+from .construct import (
+    ConditionReport,
+    ConstructionSpec,
+    Family,
+    check_characteristic,
+    check_hypotheses,
+    comparability_region,
+)
 from .errors import AxiomViolation, DomainTooLarge, InvalidArgument, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, UnaryOpTable, validate_unary
@@ -93,7 +103,11 @@ def enumerate_admissible_pairs(
     operations find each op_low's partners at once: the pool operators b
     with op_low(x) <= b(x) in the family's order on the comparability
     region.  A spec is built only for those pairs, and each is re-certified
-    by ``check_hypotheses``.  The operator pool may be capped (first
+    by ``check_hypotheses``.  At the first pair that passes, each pool
+    operator's characteristic verdict as op_low and as op_inc is decided
+    once, by ``check_characteristic`` on its diagonal spec
+    (:func:`_slot_verdicts`); a pair passes when its op_low passes as op_low
+    and its op_inc as op_inc.  The operator pool may be capped (first
     pool_cap operators in enumeration order) to bound quadratic pair growth
     on larger lattices; a cap of 0 yields nothing and a negative cap raises
     InvalidArgument, a ValueError.
@@ -116,14 +130,39 @@ def enumerate_admissible_pairs(
         at_least = [sum(m for w, m in enumerate(with_image) if above >> w & 1) for above in up]
         for k, a in enumerate(pool):
             partners[k] &= at_least[a.image[x]]
-    for op_low, mask in zip(pool, partners):
+    as_low = as_inc = None
+    for k, mask in enumerate(partners):
         while mask:
             bit = mask & -mask
             mask ^= bit
-            spec = ConstructionSpec(family, lat, e, boundary, op_low, pool[bit.bit_length() - 1])
+            j = bit.bit_length() - 1
+            spec = ConstructionSpec(family, lat, e, boundary, pool[k], pool[j])
             hyp = check_hypotheses(spec)
-            if hyp.passed:
-                yield spec, check_characteristic(spec, hypotheses=hyp).passed
+            if not hyp.passed:
+                continue
+            if as_low is None:
+                as_low, as_inc = _slot_verdicts(spec, pool, hyp)
+            yield spec, as_low[k] and as_inc[j]
+
+
+def _slot_verdicts(spec: ConstructionSpec, pool: list, hypotheses: ConditionReport) -> tuple:
+    """Each pool operator's characteristic verdict as op_low and as op_inc.
+
+    Each row of ``check_characteristic`` reads one input: range_low reads
+    op_low, range_inc op_inc, and the others the boundary and the partition.
+    So the report of the diagonal spec (op, op) decides op in either slot:
+    a pair (a, b) passes when a's report passes every row but range_inc and
+    b's passes range_inc.  ``hypotheses`` is the passed report of ``spec``,
+    a pair of the pool; every diagonal spec passes them too, since it has
+    the same boundary, its operators the family's kind, and each operator
+    lies below itself.
+    """
+    reports = [
+        check_characteristic(replace(spec, op_low=op, op_inc=op), hypotheses=hypotheses) for op in pool
+    ]
+    as_low = [all(r.passed for r in report.rows if r.name != "range_inc") for report in reports]
+    as_inc = [report.row("range_inc").passed for report in reports]
+    return as_low, as_inc
 
 
 def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: str) -> Iterator[PartialBinOpTable]:

@@ -29,7 +29,8 @@ from latuni import (
 from latuni import cli
 from latuni.cli import cli_main
 from latuni.errors import ParseError, ReferenceToUnknownElement
-from latuni.fixtures import chain
+from latuni.fixtures import chain, l2
+from latuni.search import enumerate_partial_binops
 
 DATA = resources.files("latuni") / "data"
 
@@ -642,6 +643,28 @@ def test_cli_search_pairs_pool_cap(capsys, cap, rc, lines):
         _assert_one_error_line(capsys)
     else:
         assert len(capsys.readouterr().out.splitlines()) == lines
+
+
+def test_cli_search_pairs_strict_fails_every_pair_of_a_non_strict_tconorm(tmp_path, capsys):
+    """l2's t-conorm on [e,1] other than the join reaches the top on ]e,1[,
+    so under clo2-strict it admits the join's pairs and passes none."""
+    lat = l2().lattice
+    join = parse_binop(data_text("l2.tconorm.json"), lat, role=TCONORM)
+    (other,) = [s for s in enumerate_partial_binops(lat, join.domain, TCONORM) if s.table != join.table]
+    boundary = tmp_path / "s.json"
+    boundary.write_text(serialize_binop(other))
+
+    def lines(path):
+        argv = [
+            "search-pairs", "--lattice", data_path("l2.lattice.json"), "--family", "clo2-strict",
+            "--e", "e", "--boundary", path,
+        ]
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    got = lines(str(boundary))
+    assert got and all('"characteristic_pass": false' in line for line in got)
+    assert len(got) == len(lines(data_path("l2.tconorm.json")))
 
 
 def test_cli_search_tconorms(tmp_path, capsys):

@@ -202,21 +202,52 @@ def _family_boundary(lat, e, family):
     return join_tconorm(lat, e) if family.closure_based else meet_tnorm(lat, e)
 
 
+def _certified_boundaries(lat, e, family):
+    """Every certified boundary of the family at e, in enumeration order."""
+    domain = IntervalSpec(e, lat.top) if family.closure_based else IntervalSpec(lat.bottom, e)
+    return list(enumerate_partial_binops(lat, domain, family.role))
+
+
+def _stream_lattice(name):
+    return FIXTURES[name]().lattice if name in FIXTURES else SMALL_LATTICES[name]()
+
+
+def _other_boundaries(name, e, family):
+    """The positions of the certified boundaries other than join/meet."""
+    lat = _stream_lattice(name)
+    usual = _family_boundary(lat, e, family).table
+    return [k for k, b in enumerate(_certified_boundaries(lat, e, family)) if b.table != usual]
+
+
+# Join/meet never fails boundary_strict; the strict families also run over
+# every other certified boundary, some of which do (l2's at e, and some on
+# chain4, chain5 and n5), so that a dropped boundary row shows.
 STREAM_CASES = [
-    pytest.param(name, e, family, cap, id=f"{name}-{e}-{family.value}-cap{cap}")
+    pytest.param(name, e, family, None, cap, id=f"{name}-{e}-{family.value}-cap{cap}")
     for name, e, cap in [
         (name, e, None) for name, make in sorted(SMALL_LATTICES.items()) for e in make().elements[1:-1]
     ] + [("l2", "e", cap) for cap in (None, 0, 1, 2, 5)]
     for family in Family
+] + [
+    pytest.param(name, e, family, k, None, id=f"{name}-{e}-{family.value}-boundary{k}-capNone")
+    for name, e in [
+        (name, e) for name, make in sorted(SMALL_LATTICES.items()) for e in make().elements[1:-1]
+    ] + [("l2", "e")]
+    for family in (Family.CLO_STRICT, Family.INT_STRICT)
+    for k in _other_boundaries(name, e, family)
 ]
 
 
-@pytest.mark.parametrize("name,e,family,pool_cap", STREAM_CASES)
-def test_admissible_pairs_match_checking_every_pair(name, e, family, pool_cap, monkeypatch):
+@pytest.mark.parametrize("name,e,family,boundary_at,pool_cap", STREAM_CASES)
+def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at, pool_cap, monkeypatch):
     """The search yields the reference stream, and hypothesis-checks only
-    the pairs it yields: its comparability filter is exact."""
-    lat = FIXTURES[name]().lattice if name in FIXTURES else SMALL_LATTICES[name]()
-    boundary = _family_boundary(lat, e, family)
+    the pairs it yields: its comparability filter is exact.  ``boundary_at``
+    picks a certified boundary by position; None is join/meet."""
+    lat = _stream_lattice(name)
+    if boundary_at is None:
+        boundary = _family_boundary(lat, e, family)
+    else:
+        boundary = _certified_boundaries(lat, e, family)[boundary_at]
 
     def stream(pairs):
         return [(s.op_low.mapping, s.op_inc.mapping, verdict) for s, verdict in pairs]
@@ -239,6 +270,30 @@ def test_admissible_pairs_on_a_wrong_boundary_domain_are_none(fx_l2, family):
     boundary = _family_boundary(lat, "a", family)
     assert list(reference_pairs(lat, "e", family, boundary)) == []
     assert list(enumerate_admissible_pairs(lat, "e", family, boundary)) == []
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_admission_checks_the_characteristic_once_per_pool_operator(fx_l2, family, monkeypatch):
+    """Each pool operator's characteristic rows are decided once per run,
+    and none are when nothing is admitted."""
+    lat = fx_l2.lattice
+    calls = []
+
+    def counted(spec, **kwargs):
+        calls.append(spec)
+        return check_characteristic(spec, **kwargs)
+
+    monkeypatch.setattr(search, "check_characteristic", counted)
+    boundary = _family_boundary(lat, "e", family)
+    for cap in (None, 5):
+        pool = len(list(itertools.islice(enumerate_unary(lat, family.kind), cap)))
+        calls.clear()
+        pairs = list(enumerate_admissible_pairs(lat, "e", family, boundary, pool_cap=cap))
+        assert len(pairs) > pool and 0 < len(calls) <= pool
+    calls.clear()
+    assert list(enumerate_admissible_pairs(lat, "e", family, _family_boundary(lat, "a", family))) == []
+    assert list(enumerate_admissible_pairs(lat, "e", family, boundary, pool_cap=0)) == []
+    assert calls == []
 
 
 def test_admissible_pairs_includes_fixture_pair(fx_l2):
