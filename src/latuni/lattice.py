@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BoundsNotComparable,
+    InvalidArgument,
     NotALattice,
     NotAPartialOrder,
     NotBounded,
@@ -172,7 +173,9 @@ class BoundedLattice:
 def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
     """Build and certify a bounded lattice from its Hasse cover pairs.
 
-    Raises NotAPartialOrder on a cycle, NotBounded when the declared
+    Raises InvalidArgument naming the first repeated element id,
+    UnknownElement for a cover or bound that is not an element,
+    NotAPartialOrder on a cycle, NotBounded when the declared
     bottom/top is not least/greatest, and NotALattice (reporting the first
     offending pair in declared order, meet before join) when some pair
     lacks a unique meet or join.
@@ -181,7 +184,8 @@ def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
     if not elements:
         raise NotALattice(("", ""), "meet")
     if len(set(elements)) != len(elements):
-        raise UnknownElement("duplicate element id")
+        repeated = next(x for i, x in enumerate(elements) if x in elements[:i])
+        raise InvalidArgument(f"element {repeated!r} is repeated")
     pos = {x: i for i, x in enumerate(elements)}
     for lo, hi in covers:
         if lo not in pos or hi not in pos:

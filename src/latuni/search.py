@@ -4,10 +4,13 @@ Everything here is filtered generation with early pruning: candidate maps
 are produced depth-first in lexicographic order over the declared element
 order, partial assignments are pruned against cheap necessary conditions,
 and every survivor is re-certified by the real validator before being
-emitted.  Operator pairs are pruned the same way: bitmasks over the pool
-pick each first operator's comparable partners at once, and every pair
-that survives is re-certified by ``check_hypotheses``.  Each
-characteristic row reads one operator of the pair, so
+emitted.  The table search fixes the neutral element, commutativity and
+monotonicity as it goes, so a complete table can fail only associativity;
+that is decided on its positions, and only the associative tables are
+built and certified.  Operator pairs are pruned the same way: bitmasks
+over the pool pick each first operator's comparable partners at once,
+and every pair that survives is re-certified by ``check_hypotheses``.
+Each characteristic row reads one operator of the pair, so
 ``check_characteristic`` runs once per pool operator, not once per pair.
 Correctness over speed; hard size guards keep runtimes sane.
 """
@@ -18,7 +21,14 @@ from dataclasses import replace
 from itertools import islice
 from typing import Iterator, Optional
 
-from .binop import FullBinOpTable, PartialBinOpTable, role_neutral, validate_partial, validate_uninorm
+from .binop import (
+    FullBinOpTable,
+    PartialBinOpTable,
+    _associative_witness,
+    role_neutral,
+    validate_partial,
+    validate_uninorm,
+)
 from .construct import (
     ConditionReport,
     ConstructionSpec,
@@ -178,8 +188,8 @@ def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: st
 
 
 def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[dict]:
-    """Every commutative table on ``dom`` with identity ``neutral`` whose
-    partial fillings all stay monotone.
+    """Every associative commutative table on ``dom`` with identity
+    ``neutral`` whose partial fillings all stay monotone.
 
     Depth-first over the cells off the neutral row and column, upper
     triangle in row-major order, each taking the values of ``dom`` in
@@ -187,7 +197,9 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
     first argument.  Cells and values are positions in ``dom``.  Every
     filled cell already agrees with the others, so a new value v at (i, j)
     is compared only with the filled cells of column j in the rows
-    comparable to i, and likewise at its mirror (j, i): O(m) per node.
+    comparable to i, and likewise at its mirror (j, i): O(m) per node.  A
+    complete filling is decided for associativity on its positions, and
+    only one that passes is built into an id-keyed table and yielded.
     """
     if neutral not in dom:
         raise UnknownElement(neutral)
@@ -216,7 +228,9 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
 
     def rec(c):
         if c == len(cells):
-            yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
+            # The rows must be lists: _associative_witness compares them with lists.
+            if _associative_witness([t[i * m:i * m + m] for i in range(m)]) is None:
+                yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
             return
         i, j = cells[c]
         for v in range(m):
@@ -231,6 +245,8 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
 def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[FullBinOpTable]:
     """Every commutative total table with neutral e passing all axioms.
 
+    The table search yields only the monotone associative tables, and each
+    is still certified by ``validate_uninorm`` before it is yielded.
     Ground truth for class-inclusion and construction-coverage tests;
     guarded to tiny lattices.
     """

@@ -9,6 +9,7 @@ are checked by dict lookups on the map or table.  Nothing here uses
 
 from latuni.errors import (
     AxiomViolation,
+    InvalidArgument,
     NotALattice,
     NotAPartialOrder,
     NotBounded,
@@ -26,7 +27,8 @@ def naive_lattice(elements, covers, bottom, top):
     if not elements:
         raise NotALattice(("", ""), "meet")
     if len(set(elements)) != len(elements):
-        raise UnknownElement("duplicate element id")
+        repeated = next(x for i, x in enumerate(elements) if x in elements[:i])
+        raise InvalidArgument(f"element {repeated!r} is repeated")
     known = set(elements)
     for lo, hi in covers:
         if lo not in known or hi not in known:

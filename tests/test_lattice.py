@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from latuni import IntervalSpec, build_lattice
 from latuni.errors import (
     BoundsNotComparable,
+    InvalidArgument,
     NotALattice,
     NotAPartialOrder,
     NotBounded,
@@ -50,6 +51,12 @@ def test_build_rejects_no_unique_join():
 def test_build_rejects_unknown_cover_element():
     with pytest.raises(UnknownElement):
         build_lattice(["0", "1"], [("0", "z")], "0", "1")
+
+
+def test_build_rejects_a_repeated_element_id():
+    with pytest.raises(InvalidArgument) as err:
+        build_lattice(["0", "b", "a", "b", "a", "1"], [("0", "a"), ("a", "b"), ("b", "1")], "0", "1")
+    assert str(err.value) == "element 'b' is repeated"
 
 
 def test_leq_and_incomparables_on_l1(fx_l1):

@@ -12,7 +12,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latuni import (
     CLOSURE,
@@ -97,6 +97,9 @@ def cover_lists(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(cover_lists())
+# A repeated id is reported first, naming its first repeat in declared order.
+@example((["0", "b", "a", "b", "a", "1"], [("0", "a"), ("a", "b"), ("b", "1")], "0", "1"))
+@example((["0", "0", "1"], [("0", "z")], "0", "1"))
 def test_kernel_matches_naive_lattice_on_drawn_covers(doc):
     try:
         naive = naive_lattice(*doc)

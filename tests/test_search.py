@@ -375,8 +375,9 @@ SMALL_DFS_LATTICES = {name: make for name, make in SMALL_LATTICES.items() if len
 @pytest.mark.parametrize("name", sorted(SMALL_DFS_LATTICES) + sorted(FIXTURES))
 def test_partial_binops_match_filtering_every_commutative_table(name):
     """On every interval of at most 4 elements, both roles: the search's
-    leaves are exactly the monotone tables, and its t-(co)norms the tables
-    the naive checks certify, both in lexicographic order."""
+    leaves are exactly the monotone associative tables, and its
+    t-(co)norms the tables the naive checks certify, both in lexicographic
+    order."""
     lat = SMALL_DFS_LATTICES[name]() if name in SMALL_DFS_LATTICES else FIXTURES[name]().lattice
     leq = _naive_leq(lat)
     intervals = 0
@@ -391,7 +392,8 @@ def test_partial_binops_match_filtering_every_commutative_table(name):
         for role, neutral in ((TNORM, high), (TCONORM, low)):
             leaves, expected = [], []
             for table in commutative_tables(dom, neutral):
-                if naive_uninorm_report(dom, leq, table, neutral)["monotone"]["ok"]:
+                report = naive_uninorm_report(dom, leq, table, neutral)
+                if report["monotone"]["ok"] and report["associative"]["ok"]:
                     leaves.append(table)
                 try:
                     naive_validate_partial(lat.elements, leq, low, high, role, table)
@@ -423,14 +425,18 @@ def test_brute_force_uninorms_are_valid_and_deterministic():
 
 @pytest.mark.parametrize("name", sorted(SMALL_DFS_LATTICES))
 def test_brute_force_uninorms_match_filtering_every_commutative_table(name):
-    """The search's leaves are exactly the monotone tables, and its
-    uninorms the tables passing every axiom, both in lexicographic order."""
+    """The search's leaves are exactly the monotone associative tables,
+    and its uninorms the tables passing every axiom, both in lexicographic
+    order."""
     lat = SMALL_DFS_LATTICES[name]()
     leq = _naive_leq(lat)
     for e in lat.elements:
         tables = list(commutative_tables(lat.elements, e))
         reports = [naive_uninorm_report(lat.elements, leq, table, e) for table in tables]
-        leaves = [table for table, report in zip(tables, reports) if report["monotone"]["ok"]]
+        leaves = [
+            table for table, report in zip(tables, reports)
+            if report["monotone"]["ok"] and report["associative"]["ok"]
+        ]
         expected = [
             table for table, report in zip(tables, reports)
             if all(check["ok"] for check in report.values())
@@ -438,6 +444,34 @@ def test_brute_force_uninorms_match_filtering_every_commutative_table(name):
         assert list(_monotone_commutative_tables(lat, lat.elements, e)) == leaves, e
         got = list(brute_force_uninorms(lat, e))
         assert [u.table for u in got] == expected and all(u.neutral == e for u in got), e
+
+
+def test_searches_certify_only_the_tables_they_yield(monkeypatch):
+    """The table search rejects the non-associative leaves itself, so each
+    validator call certifies a table that is then yielded."""
+    calls = {"uninorm": 0, "partial": 0}
+
+    def counting(name, validator):
+        def counted(*args):
+            calls[name] += 1
+            return validator(*args)
+        return counted
+
+    monkeypatch.setattr(search, "validate_uninorm", counting("uninorm", search.validate_uninorm))
+    monkeypatch.setattr(search, "validate_partial", counting("partial", search.validate_partial))
+    uninorms = partials = 0
+    for make in SMALL_LATTICES.values():
+        lat = make()
+        for e in lat.elements:
+            uninorms += len(list(brute_force_uninorms(lat, e)))
+        for low, high in itertools.product(lat.elements, repeat=2):
+            domain = IntervalSpec(low, high)
+            if not lat.leq(low, high) or len(lat.interval(domain)) > 4:
+                continue
+            for role in (TNORM, TCONORM):
+                partials += len(list(enumerate_partial_binops(lat, domain, role)))
+    assert uninorms and calls["uninorm"] == uninorms
+    assert partials and calls["partial"] == partials
 
 
 def test_searches_match_pinned_digest():
