@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 check failure, 2 usage or parse error (among
 them an unknown element id, or an interval whose low is not below its
 high, named on the command line or in a document) or an argument the
-library rejects (a bound as the neutral element, a negative pool cap, a
-lattice or interval past an enumeration cap).
+library rejects (a bound as the neutral element, a lattice or interval
+past an enumeration cap).
 With --json, machine-readable reports go to stdout; human-readable
 summaries otherwise.  All output is byte-deterministic for fixed inputs.
 """
@@ -92,7 +92,7 @@ def cmd_construct(args) -> int:
     if not hyp.passed:
         _emit(args, hyp.as_dict(), _report_text("hypotheses", hyp))
         return 1
-    char = check_characteristic(spec, hypotheses=hyp)
+    char = check_characteristic(spec)
     if not char.passed and not args.force:
         _emit(args, char.as_dict(), _report_text("characteristic conditions", char))
         return 1
@@ -136,7 +136,7 @@ def cmd_search_pairs(args) -> int:
     family = Family(args.family)
     boundary = documents.parse_binop(_read(args.boundary), lat, role=family.role)
     e = documents.element(lat, args.e, "--e")
-    for spec, tag in enumerate_admissible_pairs(lat, e, family, boundary, pool_cap=args.pool_cap):
+    for spec, tag in enumerate_admissible_pairs(lat, e, family, boundary):
         print(
             json.dumps(
                 {
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--e", required=True)
     p.add_argument("--boundary", required=True)
-    p.add_argument("--pool-cap", type=int, default=None)
     p.set_defaults(func=cmd_search_pairs)
 
     p = sub.add_parser("search-tconorms", help="enumerate t-conorms on a small interval as JSON lines")

@@ -255,8 +255,11 @@ def check_hypotheses(spec: ConstructionSpec) -> ConditionReport:
     ])
 
 
-def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport | None = None) -> ConditionReport:
+def check_characteristic(spec: ConstructionSpec) -> ConditionReport:
     """The family's if-and-only-if conditions for the built table to be a uninorm.
+
+    They hold only under the family's hypotheses, so this decides the
+    spec's own first and raises HypothesesNotChecked when they fail.
 
     Each row reads one input of the spec besides the lattice and e:
     range_low reads only op_low, range_inc only op_inc, and
@@ -269,8 +272,7 @@ def check_characteristic(spec: ConstructionSpec, *, hypotheses: ConditionReport 
     characteristic there; the rows are still reported, marked vacuous, and
     the overall verdict passes.  The emptiness flag is recorded in notes.
     """
-    hyp = hypotheses if hypotheses is not None else check_hypotheses(spec)
-    if not hyp.passed:
+    if not check_hypotheses(spec).passed:
         raise HypothesesNotChecked("construction hypotheses do not hold")
     strict = spec.family.strict
     part = _partition(_order(spec), spec.e, strict).members

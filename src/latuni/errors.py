@@ -77,7 +77,7 @@ class LatticeTooLarge(LatuniError):
 
 class InvalidArgument(LatuniError, ValueError):
     """An argument outside the values a call accepts, such as a bound as
-    the neutral element or a negative pool cap."""
+    the neutral element or a repeated element id."""
 
 
 class ParseError(LatuniError):

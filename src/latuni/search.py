@@ -18,8 +18,7 @@ Correctness over speed; hard size guards keep runtimes sane.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .binop import (
     FullBinOpTable,
@@ -30,14 +29,13 @@ from .binop import (
     validate_uninorm,
 )
 from .construct import (
-    ConditionReport,
     ConstructionSpec,
     Family,
     check_characteristic,
     check_hypotheses,
     comparability_region,
 )
-from .errors import AxiomViolation, DomainTooLarge, InvalidArgument, LatticeTooLarge, UnknownElement
+from .errors import AxiomViolation, DomainTooLarge, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, UnaryOpTable, validate_unary
 
@@ -104,8 +102,6 @@ def enumerate_admissible_pairs(
     e: str,
     family: Family,
     boundary: PartialBinOpTable,
-    *,
-    pool_cap: Optional[int] = None,
 ) -> Iterator[tuple]:
     """All operator pairs passing the family's hypotheses.
 
@@ -117,16 +113,10 @@ def enumerate_admissible_pairs(
     operator's characteristic verdict as op_low and as op_inc is decided
     once, by ``check_characteristic`` on its diagonal spec
     (:func:`_slot_verdicts`); a pair passes when its op_low passes as op_low
-    and its op_inc as op_inc.  The operator pool may be capped (first
-    pool_cap operators in enumeration order) to bound quadratic pair growth
-    on larger lattices; a cap of 0 yields nothing and a negative cap raises
-    InvalidArgument, a ValueError.
+    and its op_inc as op_inc.  The pool is every operator of the family's
+    kind, and always holds the identity.
     """
-    if pool_cap is not None and pool_cap < 0:
-        raise InvalidArgument(f"pool_cap must be 0 or more, got {pool_cap}")
-    pool = list(islice(enumerate_unary(lat, family.kind), pool_cap))
-    if not pool:
-        return
+    pool = list(enumerate_unary(lat, family.kind))
     # The spec checks e and the boundary's lattice before any mask is built.
     region = comparability_region(ConstructionSpec(family, lat, e, boundary, pool[0], pool[0]))
     # An interior family is decided in lat.dual(), whose up-sets are lat's down-sets.
@@ -147,29 +137,23 @@ def enumerate_admissible_pairs(
             mask ^= bit
             j = bit.bit_length() - 1
             spec = ConstructionSpec(family, lat, e, boundary, pool[k], pool[j])
-            hyp = check_hypotheses(spec)
-            if not hyp.passed:
+            if not check_hypotheses(spec).passed:
                 continue
             if as_low is None:
-                as_low, as_inc = _slot_verdicts(spec, pool, hyp)
+                as_low, as_inc = _slot_verdicts(spec, pool)
             yield spec, as_low[k] and as_inc[j]
 
 
-def _slot_verdicts(spec: ConstructionSpec, pool: list, hypotheses: ConditionReport) -> tuple:
+def _slot_verdicts(spec: ConstructionSpec, pool: list) -> tuple:
     """Each pool operator's characteristic verdict as op_low and as op_inc.
 
     Each row of ``check_characteristic`` reads one input: range_low reads
     op_low, range_inc op_inc, and the others the boundary and the partition.
     So the report of the diagonal spec (op, op) decides op in either slot:
     a pair (a, b) passes when a's report passes every row but range_inc and
-    b's passes range_inc.  ``hypotheses`` is the passed report of ``spec``,
-    a pair of the pool; every diagonal spec passes them too, since it has
-    the same boundary, its operators the family's kind, and each operator
-    lies below itself.
+    b's passes range_inc.  ``spec`` gives the family, e and boundary.
     """
-    reports = [
-        check_characteristic(replace(spec, op_low=op, op_inc=op), hypotheses=hypotheses) for op in pool
-    ]
+    reports = [check_characteristic(replace(spec, op_low=op, op_inc=op)) for op in pool]
     as_low = [all(r.passed for r in report.rows if r.name != "range_inc") for report in reports]
     as_inc = [report.row("range_inc").passed for report in reports]
     return as_low, as_inc

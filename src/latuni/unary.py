@@ -90,13 +90,23 @@ def identity_operator(lat: BoundedLattice, kind: str) -> UnaryOpTable:
     return validate_unary(lat, kind, {x: x for x in lat.elements})
 
 
+def _region_ids(lat: BoundedLattice, region) -> set:
+    """``region`` as a set; UnknownElement names its first foreign id."""
+    region = tuple(region)
+    ids = set(region)
+    if not lat.positions.keys() >= ids:
+        raise lat._unknown(*region)
+    return ids
+
+
 def pointwise_leq_on(op1: UnaryOpTable, op2: UnaryOpTable, region):
-    """Is op1(x) <= op2(x) for every x in region?  Returns (flag, witnesses)."""
+    """Is op1(x) <= op2(x) for every x in region?  Returns (flag, witnesses);
+    an id of region that is not an element raises UnknownElement."""
     if op1.lattice != op2.lattice:
         raise MismatchedLattice("operators live on different lattices")
     lat = op1.lattice
     up = lat.up
-    region = set(region)
+    region = _region_ids(lat, region)
     witnesses = tuple(
         x for x, u, v in zip(lat.elements, op1.image, op2.image)
         if x in region and not up[u] >> v & 1
@@ -105,12 +115,13 @@ def pointwise_leq_on(op1: UnaryOpTable, op2: UnaryOpTable, region):
 
 
 def range_avoids(op: UnaryOpTable, region, forbidden: IntervalSpec):
-    """Does op map every element of region outside the forbidden interval?"""
+    """Does op map every element of region outside the forbidden interval?
+    An id of region that is not an element raises UnknownElement."""
     lat = op.lattice
     if forbidden.low not in lat or forbidden.high not in lat:
         raise MismatchedLattice("forbidden interval references a foreign element")
     banned = sum(1 << lat.positions[x] for x in lat.interval(forbidden))
-    region = set(region)
+    region = _region_ids(lat, region)
     witnesses = tuple(
         x for x, v in zip(lat.elements, op.image) if x in region and banned >> v & 1
     )

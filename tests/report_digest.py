@@ -53,7 +53,7 @@ def _records(pool_cap):
                 for op_inc in pool:
                     spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)
                     hyp = check_hypotheses(spec)
-                    char = check_characteristic(spec, hypotheses=hyp).as_dict() if hyp.passed else None
+                    char = check_characteristic(spec).as_dict() if hyp.passed else None
                     table = construct(spec)
                     cells = [table(x, y) for x in lat.elements for y in lat.elements]
                     yield hyp.as_dict(), char, cells, structural_class_predicate(spec)

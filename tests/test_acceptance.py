@@ -326,7 +326,7 @@ def test_12_vacuous_strictness_when_top_covers_neutral():
         lat, "e", Family.CLO_STRICT, boundary
     ):
         checked += 1
-        char = check_characteristic(spec, hypotheses=check_hypotheses(spec))
+        char = check_characteristic(spec)
         vacuous_ok = vacuous_ok and char.row("boundary_strict").vacuous
         vacuous_ok = vacuous_ok and char.notes["open_boundary_interval_empty"]
         if validate_uninorm(construct(spec)).ok != char_pass:

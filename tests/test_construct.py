@@ -79,7 +79,7 @@ def test_worked_examples_pass_hypotheses_and_characteristic(name, request):
     fx = request.getfixturevalue(f"fx_{name}")
     hyp = check_hypotheses(fx.spec())
     assert hyp.passed
-    char = check_characteristic(fx.spec(), hypotheses=hyp)
+    char = check_characteristic(fx.spec())
     assert char.passed
     assert validate_uninorm(construct(fx.spec())).ok
 

@@ -58,9 +58,9 @@ COMMANDS = [
     ("verify", *L, "--binop", "{uninorm}"),
     ("classify", *L, "--binop", "{uninorm}"),
     ("search-closures", *L, "--kind", "interior"),
-    ("search-pairs", "--family", "clo2", *L, "--e", "e", "--boundary", "{tconorm}", "--pool-cap", "2"),
-    ("search-pairs", "--family", "int2", *L, "--e", "e", "--boundary", "{tnorm}", "--pool-cap", "2"),
-    ("search-pairs", "--family", "int2", *L, "--e", "e", "--boundary", "{uninorm}", "--pool-cap", "2"),
+    ("search-pairs", "--family", "clo2", *L, "--e", "e", "--boundary", "{tconorm}"),
+    ("search-pairs", "--family", "int2", *L, "--e", "e", "--boundary", "{tnorm}"),
+    ("search-pairs", "--family", "int2", *L, "--e", "e", "--boundary", "{uninorm}"),
     ("search-tconorms", *L, "--low", "e", "--high", "1"),
     ("export-dot", *L),
 ]

@@ -30,7 +30,7 @@ from latuni import cli
 from latuni.cli import cli_main
 from latuni.errors import ParseError, ReferenceToUnknownElement
 from latuni.fixtures import chain, l2
-from latuni.search import enumerate_partial_binops
+from latuni.search import enumerate_admissible_pairs, enumerate_partial_binops
 
 DATA = resources.files("latuni") / "data"
 
@@ -454,7 +454,7 @@ def _library_construct(spec):
     """The exit code and the ``--json`` output of ``construct`` on ``spec``."""
     report = check_hypotheses(spec)
     if report.passed:
-        report = check_characteristic(spec, hypotheses=report)
+        report = check_characteristic(spec)
     if not report.passed:
         return 1, json.dumps(report.as_dict(), indent=2) + "\n"
     return 0, serialize_binop(construct(spec))
@@ -632,17 +632,34 @@ def test_cli_search_pairs(tmp_path, capsys):
     assert lines and all(isinstance(l["characteristic_pass"], bool) for l in lines)
 
 
-@pytest.mark.parametrize("cap,rc,lines", [("0", 0, 0), ("1", 0, 1), ("-1", 2, 0)])
-def test_cli_search_pairs_pool_cap(capsys, cap, rc, lines):
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_cli_search_pairs_prints_the_library_stream_on_l2(tmp_path, capsys, family):
+    lat = l2().lattice
+    text = data_text("l2.tconorm.json") if family.closure_based else serialize_binop(meet_tnorm(lat, "e"))
+    boundary = tmp_path / "boundary.json"
+    boundary.write_text(text)
+    argv = [
+        "search-pairs", "--lattice", data_path("l2.lattice.json"), "--family", family.value,
+        "--e", "e", "--boundary", str(boundary),
+    ]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3513
+    assert sum('"characteristic_pass": true' in line for line in out) == 792
+    expected = [
+        {"op_low": spec.op_low.mapping, "op_inc": spec.op_inc.mapping, "characteristic_pass": verdict}
+        for spec, verdict in enumerate_admissible_pairs(lat, "e", family, parse_binop(text, lat, role=family.role))
+    ]
+    assert [json.loads(line) for line in out] == expected
+
+
+def test_cli_search_pairs_takes_no_pool_cap(capsys):
     argv = [
         "search-pairs", "--lattice", data_path("l2.lattice.json"), "--family", "clo2",
-        "--e", "e", "--boundary", data_path("l2.tconorm.json"), "--pool-cap", cap,
+        "--e", "e", "--boundary", data_path("l2.tconorm.json"), "--pool-cap", "1",
     ]
-    assert cli_main(argv) == rc
-    if rc == 2:
-        _assert_one_error_line(capsys)
-    else:
-        assert len(capsys.readouterr().out.splitlines()) == lines
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_search_pairs_strict_fails_every_pair_of_a_non_strict_tconorm(tmp_path, capsys):

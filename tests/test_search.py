@@ -134,30 +134,6 @@ def test_admissible_pairs_tags_match_construction_on_diamond():
     assert seen > 0
 
 
-def test_admissible_pairs_respects_pool_cap():
-    lat = diamond()
-    boundary = join_tconorm(lat, "a")
-    capped = list(
-        enumerate_admissible_pairs(lat, "a", Family.CLO, boundary, pool_cap=2)
-    )
-    full = list(enumerate_admissible_pairs(lat, "a", Family.CLO, boundary))
-    assert len(capped) <= 4 < len(full)
-
-
-def test_admissible_pairs_pool_cap_of_zero_admits_nothing(fx_l2):
-    lat = fx_l2.lattice
-    boundary = join_tconorm(lat, "e")
-
-    def pairs(cap):
-        return list(enumerate_admissible_pairs(lat, "e", Family.CLO, boundary, pool_cap=cap))
-
-    assert pairs(0) == []
-    assert len(pairs(1)) == 1
-    for cap in (-1, -3):
-        with pytest.raises(ValueError):
-            pairs(cap)
-
-
 def test_iff_sweep_script_runs_one_sweep_clean(capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_iff_sweep.py"
     spec = importlib.util.spec_from_file_location("run_iff_sweep", path)
@@ -173,8 +149,8 @@ def test_admissible_pairs_raise_the_spec_errors_on_the_first_pair(fx_l2):
     lat = fx_l2.lattice
     boundary = join_tconorm(lat, "e")
 
-    def first(e, boundary, **kwargs):
-        return next(enumerate_admissible_pairs(lat, e, Family.CLO, boundary, **kwargs), None)
+    def first(e, boundary):
+        return next(enumerate_admissible_pairs(lat, e, Family.CLO, boundary), None)
 
     with pytest.raises(MismatchedLattice):
         first("zz", boundary)
@@ -183,19 +159,17 @@ def test_admissible_pairs_raise_the_spec_errors_on_the_first_pair(fx_l2):
             first(bound, boundary)
     with pytest.raises(MismatchedLattice):
         first("e", join_tconorm(lat.dual(), "e"))
-    assert first("zz", boundary, pool_cap=0) is None
 
 
-def reference_pairs(lat, e, family, boundary, pool_cap=None):
+def reference_pairs(lat, e, family, boundary):
     """Independent reference: every ordered pool pair, in pool order, that
     passes the hypotheses, with its characteristic verdict."""
-    pool = list(itertools.islice(enumerate_unary(lat, family.kind), pool_cap))
+    pool = list(enumerate_unary(lat, family.kind))
     for op_low in pool:
         for op_inc in pool:
             spec = ConstructionSpec(family, lat, e, boundary, op_low, op_inc)
-            hyp = check_hypotheses(spec)
-            if hyp.passed:
-                yield spec, check_characteristic(spec, hypotheses=hyp).passed
+            if check_hypotheses(spec).passed:
+                yield spec, check_characteristic(spec).passed
 
 
 def _family_boundary(lat, e, family):
@@ -221,15 +195,16 @@ def _other_boundaries(name, e, family):
 
 # Join/meet never fails boundary_strict; the strict families also run over
 # every other certified boundary, some of which do (l2's at e, and some on
-# chain4, chain5 and n5), so that a dropped boundary row shows.
+# chain4, chain5 and n5), so that a dropped boundary row shows.  Each run
+# takes the whole operator pool; its id ends in "capNone" for that reason.
 STREAM_CASES = [
-    pytest.param(name, e, family, None, cap, id=f"{name}-{e}-{family.value}-cap{cap}")
-    for name, e, cap in [
-        (name, e, None) for name, make in sorted(SMALL_LATTICES.items()) for e in make().elements[1:-1]
-    ] + [("l2", "e", cap) for cap in (None, 0, 1, 2, 5)]
+    pytest.param(name, e, family, None, id=f"{name}-{e}-{family.value}-capNone")
+    for name, e in [
+        (name, e) for name, make in sorted(SMALL_LATTICES.items()) for e in make().elements[1:-1]
+    ] + [("l2", "e")]
     for family in Family
 ] + [
-    pytest.param(name, e, family, k, None, id=f"{name}-{e}-{family.value}-boundary{k}-capNone")
+    pytest.param(name, e, family, k, id=f"{name}-{e}-{family.value}-boundary{k}-capNone")
     for name, e in [
         (name, e) for name, make in sorted(SMALL_LATTICES.items()) for e in make().elements[1:-1]
     ] + [("l2", "e")]
@@ -238,8 +213,8 @@ STREAM_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,e,family,boundary_at,pool_cap", STREAM_CASES)
-def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at, pool_cap, monkeypatch):
+@pytest.mark.parametrize("name,e,family,boundary_at", STREAM_CASES)
+def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at, monkeypatch):
     """The search yields the reference stream, and hypothesis-checks only
     the pairs it yields: its comparability filter is exact.  ``boundary_at``
     picks a certified boundary by position; None is join/meet."""
@@ -252,7 +227,7 @@ def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at
     def stream(pairs):
         return [(s.op_low.mapping, s.op_inc.mapping, verdict) for s, verdict in pairs]
 
-    expected = stream(reference_pairs(lat, e, family, boundary, pool_cap))
+    expected = stream(reference_pairs(lat, e, family, boundary))
     checked = []
 
     def counted(spec):
@@ -260,7 +235,7 @@ def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at
         return check_hypotheses(spec)
 
     monkeypatch.setattr(search, "check_hypotheses", counted)
-    assert stream(enumerate_admissible_pairs(lat, e, family, boundary, pool_cap=pool_cap)) == expected
+    assert stream(enumerate_admissible_pairs(lat, e, family, boundary)) == expected
     assert len(checked) == len(expected)
 
 
@@ -279,20 +254,17 @@ def test_admission_checks_the_characteristic_once_per_pool_operator(fx_l2, famil
     lat = fx_l2.lattice
     calls = []
 
-    def counted(spec, **kwargs):
+    def counted(spec):
         calls.append(spec)
-        return check_characteristic(spec, **kwargs)
+        return check_characteristic(spec)
 
     monkeypatch.setattr(search, "check_characteristic", counted)
     boundary = _family_boundary(lat, "e", family)
-    for cap in (None, 5):
-        pool = len(list(itertools.islice(enumerate_unary(lat, family.kind), cap)))
-        calls.clear()
-        pairs = list(enumerate_admissible_pairs(lat, "e", family, boundary, pool_cap=cap))
-        assert len(pairs) > pool and 0 < len(calls) <= pool
+    pool = len(list(enumerate_unary(lat, family.kind)))
+    pairs = list(enumerate_admissible_pairs(lat, "e", family, boundary))
+    assert len(pairs) > pool and 0 < len(calls) <= pool
     calls.clear()
     assert list(enumerate_admissible_pairs(lat, "e", family, _family_boundary(lat, "a", family))) == []
-    assert list(enumerate_admissible_pairs(lat, "e", family, boundary, pool_cap=0)) == []
     assert calls == []
 
 

@@ -15,7 +15,7 @@ from latuni import (
     range_avoids,
     validate_unary,
 )
-from latuni.errors import AxiomViolation, MismatchedLattice
+from latuni.errors import AxiomViolation, MismatchedLattice, UnknownElement
 from latuni.fixtures import diamond
 from latuni.search import enumerate_unary
 
@@ -133,6 +133,21 @@ def test_pointwise_leq_on_l1(fx_l1):
 def test_pointwise_leq_rejects_foreign_operator(fx_l1, fx_l2):
     with pytest.raises(MismatchedLattice):
         pointwise_leq_on(fx_l1.cl1, fx_l2.cl1, ["0"])
+
+
+@pytest.mark.parametrize("region,unknown", [(["zz"], "zz"), (["0", "yy", "zz"], "yy"), (("zz", "0", "yy"), "zz")])
+def test_pointwise_leq_rejects_an_unknown_region_id(fx_l2, region, unknown):
+    # cl2 is not below cl1 on l2, so an ignored unknown id would read as a pass.
+    with pytest.raises(UnknownElement) as info:
+        pointwise_leq_on(fx_l2.cl2, fx_l2.cl1, region)
+    assert info.value.element == unknown
+
+
+@pytest.mark.parametrize("region,unknown", [(["zz"], "zz"), (["a", "yy", "zz"], "yy"), (("zz", "a", "yy"), "zz")])
+def test_range_avoids_rejects_an_unknown_region_id(fx_l1, region, unknown):
+    with pytest.raises(UnknownElement) as info:
+        range_avoids(fx_l1.cl1, region, IntervalSpec("e", "1"))
+    assert info.value.element == unknown
 
 
 def test_range_avoids_on_l1(fx_l1):
