@@ -26,13 +26,14 @@ TCONORM = "tconorm"
 
 
 def role_neutral(role: str, domain: IntervalSpec) -> str:
-    """The neutral element of a t-norm or t-conorm on ``domain``: a t-norm's
-    is the domain's top, a t-conorm's its bottom."""
-    if role == TNORM:
-        return domain.high
-    if role == TCONORM:
-        return domain.low
-    raise ValueError(f"role must be {TNORM!r} or {TCONORM!r}")
+    """The neutral element of a t-norm or t-conorm on the closed interval
+    ``domain``: a t-norm's is the domain's top, a t-conorm's its bottom.
+    Raises ValueError on any other role, then on an open domain."""
+    if role not in (TNORM, TCONORM):
+        raise ValueError(f"role must be {TNORM!r} or {TCONORM!r}")
+    if domain.low_open or domain.high_open:
+        raise ValueError("partial operation domains must be closed intervals")
+    return domain.high if role == TNORM else domain.low
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,6 @@ def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table
     scan runs row-major over declared element order.
     """
     neutral = role_neutral(role, domain)
-    if domain.low_open or domain.high_open:
-        raise ValueError("partial operation domains must be closed intervals")
     dom = lat.interval(domain)
     table = dict(table)
     m = len(dom)

@@ -181,8 +181,6 @@ def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
     lacks a unique meet or join.
     """
     elements = tuple(elements)
-    if not elements:
-        raise NotALattice(("", ""), "meet")
     if len(set(elements)) != len(elements):
         repeated = next(x for i, x in enumerate(elements) if x in elements[:i])
         raise InvalidArgument(f"element {repeated!r} is repeated")

@@ -3,15 +3,14 @@
 Everything here is filtered generation with early pruning: candidate maps
 are produced depth-first in lexicographic order over the declared element
 order, partial assignments are pruned against cheap necessary conditions,
-and every survivor is re-certified by the real validator before being
-emitted.  The table search fixes the neutral element, commutativity and
-monotonicity as it goes, so a complete table can fail only associativity;
-that is decided on its positions, and only the associative tables are
-built and certified.  Operator pairs are pruned the same way: bitmasks
-over the pool pick each first operator's comparable partners at once,
-and every pair that survives is re-certified by ``check_hypotheses``.
-Each characteristic row reads one operator of the pair, so
-``check_characteristic`` runs once per pool operator, not once per pair.
+and every operator or table that survives is certified by the real
+validator before being emitted.  The table search fixes the neutral
+element, commutativity and monotonicity as it goes, so a complete table
+can fail only associativity; that is decided on its positions, and only
+the associative tables are built and certified.  Pair admission decides
+each hypothesis once, where it varies: the boundary's domain once per run,
+comparability by bitmasks over the pool, and each characteristic row,
+which reads one operator, once per pool operator.
 Correctness over speed; hard size guards keep runtimes sane.
 """
 
@@ -105,24 +104,29 @@ def enumerate_admissible_pairs(
 ) -> Iterator[tuple]:
     """All operator pairs passing the family's hypotheses.
 
-    Yields (spec, characteristic_pass) in lexicographic pool order.  Bit
-    operations find each op_low's partners at once: the pool operators b
-    with op_low(x) <= b(x) in the family's order on the comparability
-    region.  A spec is built only for those pairs, and each is re-certified
-    by ``check_hypotheses``.  At the first pair that passes, each pool
-    operator's characteristic verdict as op_low and as op_inc is decided
-    once, by ``check_characteristic`` on its diagonal spec
-    (:func:`_slot_verdicts`); a pair passes when its op_low passes as op_low
-    and its op_inc as op_inc.  The pool is every operator of the family's
-    kind, and always holds the identity.
+    Yields (spec, characteristic_pass) in lexicographic pool order.  The
+    pool is every operator of the family's kind and holds the identity, so
+    operator_kinds holds.  boundary_domain is the same for every pair:
+    ``check_hypotheses`` decides it once, and on a failure nothing is
+    yielded.  Comparability is bit operations alone, which find each
+    op_low's partners at once: the pool operators b with op_low(x) <= b(x)
+    in the family's order on the comparability region.  A spec is built
+    only for those pairs.  A pair's characteristic verdict is read off its
+    op_low's verdict as op_low and its op_inc's as op_inc, each decided
+    once per pool operator (:func:`_slot_verdicts`).
     """
     pool = list(enumerate_unary(lat, family.kind))
-    # The spec checks e and the boundary's lattice before any mask is built.
-    region = comparability_region(ConstructionSpec(family, lat, e, boundary, pool[0], pool[0]))
+    # The first spec checks e and the boundary's lattice before any mask is
+    # built.  The pool holds only the family's kind and op <= op, so only
+    # the boundary's domain can fail its hypotheses, and then every pair's.
+    first = ConstructionSpec(family, lat, e, boundary, pool[0], pool[0])
+    if not check_hypotheses(first).passed:
+        return
+    as_low, as_inc = _slot_verdicts(first, pool)
     # An interior family is decided in lat.dual(), whose up-sets are lat's down-sets.
     up = lat.up if family.closure_based else lat.down
     partners = [(1 << len(pool)) - 1] * len(pool)
-    for x in map(lat.index, region):
+    for x in map(lat.index, comparability_region(first)):
         # at_least[v]: the b with v <= b(x), a union of the b with b(x) = w over w >= v.
         with_image = [0] * len(lat)
         for k, b in enumerate(pool):
@@ -130,18 +134,12 @@ def enumerate_admissible_pairs(
         at_least = [sum(m for w, m in enumerate(with_image) if above >> w & 1) for above in up]
         for k, a in enumerate(pool):
             partners[k] &= at_least[a.image[x]]
-    as_low = as_inc = None
     for k, mask in enumerate(partners):
         while mask:
             bit = mask & -mask
             mask ^= bit
             j = bit.bit_length() - 1
-            spec = ConstructionSpec(family, lat, e, boundary, pool[k], pool[j])
-            if not check_hypotheses(spec).passed:
-                continue
-            if as_low is None:
-                as_low, as_inc = _slot_verdicts(spec, pool)
-            yield spec, as_low[k] and as_inc[j]
+            yield ConstructionSpec(family, lat, e, boundary, pool[k], pool[j]), as_low[k] and as_inc[j]
 
 
 def _slot_verdicts(spec: ConstructionSpec, pool: list) -> tuple:
@@ -160,11 +158,13 @@ def _slot_verdicts(spec: ConstructionSpec, pool: list) -> tuple:
 
 
 def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: str) -> Iterator[PartialBinOpTable]:
-    """All certified t-norms or t-conorms on a small closed interval."""
+    """All certified t-norms or t-conorms on a small closed interval; a bad
+    role or an open domain raises ``validate_partial``'s ValueError first."""
+    neutral = role_neutral(role, domain)
     dom = lat.interval(domain)
     if len(dom) > MAX_BINOP_DOMAIN:
         raise DomainTooLarge(f"binop enumeration capped at {MAX_BINOP_DOMAIN} elements")
-    for table in _monotone_commutative_tables(lat, dom, role_neutral(role, domain)):
+    for table in _monotone_commutative_tables(lat, dom, neutral):
         try:
             yield validate_partial(lat, domain, role, table)
         except AxiomViolation:

@@ -24,8 +24,6 @@ def naive_lattice(elements, covers, bottom, top):
     Raises the exceptions of ``build_lattice``, in its order.
     """
     elements = tuple(elements)
-    if not elements:
-        raise NotALattice(("", ""), "meet")
     if len(set(elements)) != len(elements):
         repeated = next(x for i, x in enumerate(elements) if x in elements[:i])
         raise InvalidArgument(f"element {repeated!r} is repeated")

@@ -21,6 +21,7 @@ from latuni import (
     identity_operator,
     join_tconorm,
     meet_tnorm,
+    range_avoids,
     reference_karacal_mesiar,
     region_of,
     structural_class_predicate,
@@ -28,7 +29,7 @@ from latuni import (
     validate_uninorm,
 )
 from latuni.errors import HypothesesNotChecked, MismatchedLattice
-from latuni.search import enumerate_unary
+from latuni.search import enumerate_admissible_pairs, enumerate_unary
 from reference_tables import INTERIOR_TABLES, TABLES
 from report_digest import report_digest
 
@@ -309,6 +310,36 @@ def test_characteristic_vacuous_when_open_boundary_empty():
     assert char.row("boundary_strict").vacuous
     assert char.passed
     assert validate_uninorm(construct(spec)).ok
+
+
+def test_comparability_is_needed_for_the_characteristic_verdict():
+    """On 0 < x0 < x1 < e < 1, x0 < x2 < 1, a clo2 pair that only fails
+    comparability passes both range conditions, yet builds a table that
+    is not monotone; so the conditions are no verdict for it, and pair
+    admission leaves it out."""
+    lat = build_lattice(
+        ["0", "x0", "x1", "e", "x2", "1"],
+        [("0", "x0"), ("x0", "x1"), ("x1", "e"), ("e", "1"), ("x0", "x2"), ("x2", "1")],
+        "0",
+        "1",
+    )
+    op_low = validate_unary(lat, CLOSURE, {"0": "0", "x0": "x1", "x1": "x1", "e": "e", "x2": "1", "1": "1"})
+    op_inc = identity_operator(lat, CLOSURE)
+    spec = ConstructionSpec(Family.CLO, lat, "e", join_tconorm(lat, "e"), op_low, op_inc)
+    hyp = check_hypotheses(spec)
+    assert [r.name for r in hyp.rows if not r.passed] == ["comparability"]
+    assert hyp.row("comparability").witnesses == ("x0", "x2")
+    upper = IntervalSpec("e", "1")
+    for op, label in ((op_low, RegionLabel.LOW_OPEN), (op_inc, RegionLabel.INC)):
+        region = [x for x in lat.elements if region_of(spec, x) == label]
+        assert region and range_avoids(op, region, upper) == (True, ())
+    with pytest.raises(HypothesesNotChecked):
+        check_characteristic(spec)
+    report = validate_uninorm(construct(spec)).as_dict()
+    assert [name for name, check in report.items() if not check["ok"]] == ["monotone"]
+    assert report["monotone"]["witness"] == ("x0", "x2", "1")
+    pairs = [(s.op_low, s.op_inc) for s, _ in enumerate_admissible_pairs(lat, "e", Family.CLO, spec.boundary)]
+    assert pairs and (op_low, op_inc) not in pairs
 
 
 # -- structure facts of the built tables -------------------------------------

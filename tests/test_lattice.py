@@ -53,6 +53,13 @@ def test_build_rejects_unknown_cover_element():
         build_lattice(["0", "1"], [("0", "z")], "0", "1")
 
 
+def test_build_rejects_an_empty_element_list_at_its_bottom():
+    """No elements: the declared bottom is the first unknown element."""
+    with pytest.raises(UnknownElement) as err:
+        build_lattice([], [], "0", "1")
+    assert err.value.element == "0"
+
+
 def test_build_rejects_a_repeated_element_id():
     with pytest.raises(InvalidArgument) as err:
         build_lattice(["0", "b", "a", "b", "a", "1"], [("0", "a"), ("a", "b"), ("b", "1")], "0", "1")

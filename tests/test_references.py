@@ -100,6 +100,8 @@ def cover_lists(draw):
 # A repeated id is reported first, naming its first repeat in declared order.
 @example((["0", "b", "a", "b", "a", "1"], [("0", "a"), ("a", "b"), ("b", "1")], "0", "1"))
 @example((["0", "0", "1"], [("0", "z")], "0", "1"))
+# No elements: the bottom is reported as unknown, not a fabricated pair.
+@example(([], [], "0", "1"))
 def test_kernel_matches_naive_lattice_on_drawn_covers(doc):
     try:
         naive = naive_lattice(*doc)

@@ -19,6 +19,7 @@ from latuni import (
     join_tconorm,
     meet_tnorm,
     search,
+    validate_partial,
     validate_uninorm,
 )
 from latuni.errors import (
@@ -215,9 +216,10 @@ STREAM_CASES = [
 
 @pytest.mark.parametrize("name,e,family,boundary_at", STREAM_CASES)
 def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at, monkeypatch):
-    """The search yields the reference stream, and hypothesis-checks only
-    the pairs it yields: its comparability filter is exact.  ``boundary_at``
-    picks a certified boundary by position; None is join/meet."""
+    """The search yields the reference stream, which checks every pool
+    pair's hypotheses, and calls ``check_hypotheses`` once per run: its
+    comparability filter is exact.  ``boundary_at`` picks a certified
+    boundary by position; None is join/meet."""
     lat = _stream_lattice(name)
     if boundary_at is None:
         boundary = _family_boundary(lat, e, family)
@@ -236,7 +238,7 @@ def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at
 
     monkeypatch.setattr(search, "check_hypotheses", counted)
     assert stream(enumerate_admissible_pairs(lat, e, family, boundary)) == expected
-    assert len(checked) == len(expected)
+    assert len(checked) == 1
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -249,8 +251,8 @@ def test_admissible_pairs_on_a_wrong_boundary_domain_are_none(fx_l2, family):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_admission_checks_the_characteristic_once_per_pool_operator(fx_l2, family, monkeypatch):
-    """Each pool operator's characteristic rows are decided once per run,
-    and none are when nothing is admitted."""
+    """Each pool operator's characteristic rows are decided exactly once
+    per run, and none are when nothing is admitted."""
     lat = fx_l2.lattice
     calls = []
 
@@ -262,7 +264,7 @@ def test_admission_checks_the_characteristic_once_per_pool_operator(fx_l2, famil
     boundary = _family_boundary(lat, "e", family)
     pool = len(list(enumerate_unary(lat, family.kind)))
     pairs = list(enumerate_admissible_pairs(lat, "e", family, boundary))
-    assert len(pairs) > pool and 0 < len(calls) <= pool
+    assert len(pairs) > pool and len(calls) == pool
     calls.clear()
     assert list(enumerate_admissible_pairs(lat, "e", family, _family_boundary(lat, "a", family))) == []
     assert calls == []
@@ -376,6 +378,22 @@ def test_partial_binops_match_filtering_every_commutative_table(name):
             got = [p.table for p in enumerate_partial_binops(lat, domain, role)]
             assert got == expected, (low, high, role)
     assert intervals
+
+
+@pytest.mark.parametrize("low_open, high_open", [(True, False), (False, True)])
+@pytest.mark.parametrize("role", [TNORM, TCONORM])
+def test_partial_binops_on_an_open_domain_raise_before_the_search(role, low_open, high_open, monkeypatch):
+    """An open domain raises validate_partial's ValueError before the cap
+    (chain(7)'s [c0,c6] has 7 elements) and before any table is searched."""
+    monkeypatch.setattr(search, "_monotone_commutative_tables", None)
+    for lat, domain in ((chain(4), IntervalSpec("c1", "c3", low_open, high_open)),
+                        (chain(7), IntervalSpec("c0", "c6", low_open, high_open))):
+        with pytest.raises(ValueError) as err:
+            next(iter(enumerate_partial_binops(lat, domain, role)))
+        assert str(err.value) == "partial operation domains must be closed intervals"
+        with pytest.raises(ValueError) as err:
+            validate_partial(lat, domain, role, {})
+        assert str(err.value) == "partial operation domains must be closed intervals"
 
 
 def test_binop_guard():
