@@ -10,6 +10,7 @@ declared element order so the first witness is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     AxiomViolation,
@@ -248,15 +249,21 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
 
 # The axiom scans shared by validate_uninorm and validate_partial.  They
 # read a table on positions 0..m-1 as its rows (rows[x][y] = t(x, y)) and
-# columns (cols[y][x] = t(x, y)) and return the first witness, as
-# positions, or None.
+# columns (cols[y][x] = t(x, y)), both tuples, and return the first
+# witness, as positions, or None.
+
+def _rows(t, m):
+    t = tuple(t)
+    return [t[i * m:i * m + m] for i in range(m)]
+
 
 def _rows_and_columns(t, m):
-    return [t[i * m:i * m + m] for i in range(m)], [t[j::m] for j in range(m)]
+    t = tuple(t)
+    return _rows(t, m), [t[j::m] for j in range(m)]
 
 
 def _neutral_witness(rows, cols, e):
-    everything = list(range(len(rows)))
+    everything = tuple(range(len(rows)))
     if rows[e] == everything and cols[e] == everything:
         return None
     return (next(x for x in everything if rows[e][x] != x or cols[e][x] != x),)
@@ -270,10 +277,16 @@ def _commutative_witness(rows, cols):
 
 
 def _associative_witness(rows):
-    # t(x, t(y, z)) is row x read through row y; t(t(x, y), z) is row t(x, y).
+    # t(x, t(y, z)) over z is row x read at the entries of row y, one call
+    # of row y's itemgetter; t(t(x, y), z) is row t(x, y).  An itemgetter
+    # of one index returns a bare value, not a tuple, so a one-element
+    # table is decided here: its one cell holds position 0, associatively.
+    if len(rows) == 1:
+        return None
+    through = [itemgetter(*ry) for ry in rows]
     for x, rx in enumerate(rows):
-        for y, ry in enumerate(rows):
-            left = [rx[v] for v in ry]
+        for y, read in enumerate(through):
+            left = read(rx)
             if left != rows[rx[y]]:
                 return x, y, _first_difference(left, rows[rx[y]])
     return None

@@ -173,7 +173,7 @@ def cmd_export_dot(args) -> int:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(documents.dumps(payload))
     else:
         print(text)
 

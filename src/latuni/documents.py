@@ -10,7 +10,9 @@ Three document kinds:
   "table": {row: {col: id}}}``
 
 Element order inside documents is semantic: it fixes scan, witness, and
-rendering order, so canonical serialization preserves it.
+rendering order, so canonical serialization preserves it.  Documents and
+``--json`` reports are written by :func:`dumps`, whose output is
+``json.dumps(value, indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +23,99 @@ from .binop import FullBinOpTable, PartialBinOpTable, role_neutral, validate_par
 from .errors import ParseError, ReferenceToUnknownElement
 from .lattice import BoundedLattice, IntervalSpec, build_lattice
 from .unary import CLOSURE, INTERIOR, UnaryOpTable, validate_unary
+
+
+# The C string escaper of ``json.dumps`` with ensure_ascii, its default.
+# It takes only str, and raises TypeError on anything else.
+_escape = json.encoder.encode_basestring_ascii
+
+
+def dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values latuni
+    writes: dicts with str keys, lists and tuples, str, int, bool and None.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
+    given.  This writer escapes strings with the same C escaper and writes
+    each flat run with one ``str.join``: a dict whose values are all str
+    (a table row), a list of str, and a list of lists or tuples of str
+    (witness triples).  Any other value, or a key that is not a str,
+    raises TypeError.
+    """
+    out = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, nl: str, out: list) -> None:
+    """Append ``value`` to ``out``.  ``nl`` is a newline and the indent of
+    the line ``value`` starts on; its members go one level deeper."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = nl + "  "
+        if not value:
+            out.append("[]")
+        elif (run := _flat_members(value, inner)) is not None:
+            out.append(f"[{inner}{run}{nl}]")
+        else:
+            out.append("[")
+            sep = inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif isinstance(value, dict):
+        inner = nl + "  "
+        if not value:
+            out.append("{}")
+        elif (run := _flat_entries(value, inner)) is not None:
+            out.append(f"{{{inner}{run}{nl}}}")
+        else:
+            out.append("{")
+            sep = inner
+            for key, item in value.items():
+                out.append(f"{sep}{_escape(key)}: ")
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _flat_entries(value: dict, nl: str) -> str | None:
+    """The entries of a dict of str values, each on its own line ``nl``;
+    None when some value is not a str."""
+    try:
+        return ("," + nl).join([f"{_escape(key)}: {_escape(item)}" for key, item in value.items()])
+    except TypeError:
+        return None
+
+
+def _flat_members(items, nl: str) -> str | None:
+    """The members of a list of str, or of a list of lists or tuples of
+    str, each on its own line ``nl``; None for any other list."""
+    sep = "," + nl
+    try:
+        return sep.join(map(_escape, items))
+    except TypeError:
+        pass
+    if not all(isinstance(item, (list, tuple)) for item in items):
+        return None
+    deeper = nl + "  "
+    inner_sep = "," + deeper
+    try:
+        return sep.join([f"[{deeper}{inner_sep.join(map(_escape, item))}{nl}]" if item else "[]" for item in items])
+    except TypeError:
+        return None
 
 
 def _load_json(text: str) -> dict:
@@ -69,6 +164,13 @@ def parse_lattice(text: str) -> BoundedLattice:
     elements = doc["elements"]
     if not _is_string_list(elements) or len(set(elements)) != len(elements):
         raise ParseError("'elements' must be an array of unique strings")
+    for x in elements:
+        # JSON's \u escapes can spell a lone surrogate, which no UTF-8 stream
+        # can write; every id reaches the output, so it is refused here.
+        try:
+            x.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"element id {x!r} is not encodable as UTF-8") from None
     known = set(elements)
     if not isinstance(doc["covers"], list):
         raise ParseError("'covers' must be an array")
@@ -103,7 +205,7 @@ def serialize_lattice(lat: BoundedLattice) -> str:
         "bottom": lat.bottom,
         "top": lat.top,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps(doc) + "\n"
 
 
 # -- operator documents ------------------------------------------------------
@@ -156,7 +258,7 @@ def serialize_operator(op: UnaryOpTable) -> str:
         "kind": op.kind,
         "map": {x: op.mapping[x] for x in op.lattice.elements},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps(doc) + "\n"
 
 
 # -- binop documents ---------------------------------------------------------
@@ -225,7 +327,7 @@ def serialize_binop(op) -> str:
         rows = lat.elements
         domain = None
     doc = {"neutral": op.neutral, "domain": domain, "table": {x: {y: op(x, y) for y in rows} for x in rows}}
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps(doc) + "\n"
 
 
 # -- rendering ---------------------------------------------------------------

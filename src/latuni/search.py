@@ -23,6 +23,7 @@ from .binop import (
     FullBinOpTable,
     PartialBinOpTable,
     _associative_witness,
+    _rows,
     role_neutral,
     validate_partial,
     validate_uninorm,
@@ -212,8 +213,7 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
 
     def rec(c):
         if c == len(cells):
-            # The rows must be lists: _associative_witness compares them with lists.
-            if _associative_witness([t[i * m:i * m + m] for i in range(m)]) is None:
+            if _associative_witness(_rows(t, m)) is None:
                 yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
             return
         i, j = cells[c]

@@ -98,6 +98,15 @@ def test_partial_rejects_broken_axiom(fx_l1):
         validate_partial(lat, IntervalSpec("e", "1"), TCONORM, table)
 
 
+@pytest.mark.parametrize("role", [TCONORM, TNORM])
+def test_partial_on_a_one_element_domain(fx_l1, role):
+    # [e, e] has one cell, so each axiom scan reads a one-element row.
+    lat, domain = fx_l1.lattice, IntervalSpec("e", "e")
+    assert validate_partial(lat, domain, role, {("e", "e"): "e"})("e", "e") == "e"
+    with pytest.raises(OutOfDomainOutput):
+        validate_partial(lat, domain, role, {("e", "e"): "1"})
+
+
 def test_l3_tconorm_strict_below_top(fx_l3):
     ok, wit = strictness_check(fx_l3.tconorm)
     assert ok and wit == ()

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -12,11 +13,13 @@ from latuni import (
     TNORM,
     ConstructionSpec,
     Family,
+    build_lattice,
     check_characteristic,
     check_hypotheses,
     construct,
     export_dot,
     identity_operator,
+    join_tconorm,
     meet_tnorm,
     parse_binop,
     parse_lattice,
@@ -28,6 +31,7 @@ from latuni import (
 )
 from latuni import cli
 from latuni.cli import cli_main
+from latuni.construct import reference_karacal_mesiar
 from latuni.errors import ParseError, ReferenceToUnknownElement
 from latuni.fixtures import chain, l2
 from latuni.search import enumerate_admissible_pairs, enumerate_partial_binops
@@ -295,6 +299,40 @@ def test_cli_document_not_utf8_is_exit_2(tmp_path, capsys):
     lattice = tmp_path / "lattice.json"
     lattice.write_bytes(text.encode("latin-1"))
     assert cli_main(["validate", "--lattice", str(lattice)]) == 2
+    _assert_one_error_line(capsys)
+
+
+# A diamond whose side element is a lone surrogate: valid JSON, written in
+# ASCII, but no UTF-8 stream can write the id.
+SURROGATE = "\ud800"
+DIAMOND = {
+    "elements": ["0", SURROGATE, "e", "1"],
+    "covers": [["0", SURROGATE], ["0", "e"], [SURROGATE, "1"], ["e", "1"]],
+    "bottom": "0",
+    "top": "1",
+}
+
+
+def test_element_id_not_encodable_as_utf8_is_a_parse_error():
+    with pytest.raises(ParseError, match=re.escape(repr(SURROGATE))):
+        parse_lattice(json.dumps(DIAMOND))
+
+
+@pytest.mark.parametrize("command", ["export-dot", "classify", "validate"])
+def test_cli_element_id_not_encodable_as_utf8_is_exit_2(tmp_path, capsys, command):
+    # A StringIO stdout takes any str, so the request writes to a strict
+    # UTF-8 stream, as a terminal or a pipe is.
+    elements, covers = DIAMOND["elements"], [tuple(c) for c in DIAMOND["covers"]]
+    lat = build_lattice(elements, covers, "0", "1")
+    lattice, table = tmp_path / "lattice.json", tmp_path / "table.json"
+    lattice.write_text(json.dumps(DIAMOND))
+    table.write_text(serialize_binop(reference_karacal_mesiar(lat, "e", join_tconorm(lat, "e"), "s")))
+    argv = [command, "--lattice", str(lattice)] + (["--binop", str(table)] if command == "classify" else [])
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    with contextlib.redirect_stdout(stdout):
+        rc = cli_main(argv)
+        stdout.flush()
+    assert rc == 2
     _assert_one_error_line(capsys)
 
 
@@ -701,6 +739,12 @@ def test_cli_search_tconorms(tmp_path, capsys):
     )
     assert rc == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+def test_cli_search_tconorms_on_a_one_element_interval(capsys):
+    argv = ["search-tconorms", "--lattice", data_path("l2.lattice.json"), "--low", "e", "--high", "e"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == '{"domain": ["e"], "table": {"e": {"e": "e"}}}\n'
 
 
 @pytest.mark.parametrize("low,high", [("zz", "1"), ("0", "zz"), ("1", "0"), ("a", "m")])
