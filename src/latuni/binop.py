@@ -252,14 +252,9 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
 # columns (cols[y][x] = t(x, y)), both tuples, and return the first
 # witness, as positions, or None.
 
-def _rows(t, m):
-    t = tuple(t)
-    return [t[i * m:i * m + m] for i in range(m)]
-
-
 def _rows_and_columns(t, m):
     t = tuple(t)
-    return _rows(t, m), [t[j::m] for j in range(m)]
+    return [t[i * m:i * m + m] for i in range(m)], [t[j::m] for j in range(m)]
 
 
 def _neutral_witness(rows, cols, e):
@@ -422,6 +417,25 @@ def _forced_value_witnesses(candidate, xs, ys, expected):
     return tuple(out)
 
 
+def _class_regions(lat: BoundedLattice, e: str) -> tuple:
+    """The regions the class flags read, memoised per lattice and e:
+    ]e,1], ]e,1[, [0,e[, ]0,e[, L \\ [e,1] and L \\ [0,e]."""
+
+    def make():
+        upper = set(lat.interval(IntervalSpec(e, lat.top)))
+        lower = set(lat.interval(IntervalSpec(lat.bottom, e)))
+        return (
+            lat.interval(IntervalSpec(e, lat.top, low_open=True)),
+            lat.interval(IntervalSpec(e, lat.top, low_open=True, high_open=True)),
+            lat.interval(IntervalSpec(lat.bottom, e, high_open=True)),
+            lat.interval(IntervalSpec(lat.bottom, e, low_open=True, high_open=True)),
+            tuple(x for x in lat.elements if x not in upper),
+            tuple(x for x in lat.elements if x not in lower),
+        )
+
+    return lat.derived(("classify", e), make)
+
+
 def classify(candidate: FullBinOpTable) -> ClassMembership:
     """Membership in the eight uninorm classes by direct evaluation.
 
@@ -431,15 +445,7 @@ def classify(candidate: FullBinOpTable) -> ClassMembership:
     if not report.ok:
         raise NotAUninorm("candidate fails the uninorm axioms")
     lat = candidate.lattice
-    e = candidate.neutral
-    above_half = lat.interval(IntervalSpec(e, lat.top, low_open=True))       # ]e,1]
-    above_open = lat.interval(IntervalSpec(e, lat.top, low_open=True, high_open=True))
-    below_half = lat.interval(IntervalSpec(lat.bottom, e, high_open=True))   # [0,e[
-    below_open = lat.interval(IntervalSpec(lat.bottom, e, low_open=True, high_open=True))
-    upper = set(lat.interval(IntervalSpec(e, lat.top)))
-    lower = set(lat.interval(IntervalSpec(lat.bottom, e)))
-    not_upper = tuple(x for x in lat.elements if x not in upper)  # L \ [e,1]
-    not_lower = tuple(x for x in lat.elements if x not in lower)  # L \ [0,e]
+    above_half, above_open, below_half, below_open, not_upper, not_lower = _class_regions(lat, candidate.neutral)
 
     snd = lambda x, y: y
     fst = lambda x, y: x

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error (among
 them an unknown element id, or an interval whose low is not below its
 high, named on the command line or in a document) or an argument the
 library rejects (a bound as the neutral element, a lattice or interval
-past an enumeration cap).
+past an enumeration cap), or output that stdout's encoding cannot write
+(an element id outside ASCII on an ASCII stdout).
 With --json, machine-readable reports go to stdout; human-readable
 summaries otherwise.  All output is byte-deterministic for fixed inputs.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import documents
@@ -275,10 +277,23 @@ def cli_main(argv=None) -> int:
     except LatuniError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeEncodeError as exc:
+        # ascii(): the message must encode where the output did not.
+        chars = ascii(exc.object[exc.start:exc.end])
+        print(f"error: the {exc.encoding} encoding of stdout cannot write {chars}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush
+        # at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

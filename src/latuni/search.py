@@ -5,12 +5,13 @@ are produced depth-first in lexicographic order over the declared element
 order, partial assignments are pruned against cheap necessary conditions,
 and every operator or table that survives is certified by the real
 validator before being emitted.  The table search fixes the neutral
-element, commutativity and monotonicity as it goes, so a complete table
-can fail only associativity; that is decided on its positions, and only
-the associative tables are built and certified.  Pair admission decides
-each hypothesis once, where it varies: the boundary's domain once per run,
-comparability by bitmasks over the pool, and each characteristic row,
-which reads one operator, once per pool operator.
+element, commutativity and monotonicity as it goes, and decides
+associativity row by row: when a row completes, the triples it makes
+final are checked and a failing subtree is cut.  So every complete
+table is associative, and only those are built and certified.  Pair
+admission decides each hypothesis once, where it varies: the boundary's
+domain once per run, comparability by bitmasks over the pool, and each
+characteristic row, which reads one operator, once per pool operator.
 Correctness over speed; hard size guards keep runtimes sane.
 """
 
@@ -22,8 +23,6 @@ from typing import Iterator
 from .binop import (
     FullBinOpTable,
     PartialBinOpTable,
-    _associative_witness,
-    _rows,
     role_neutral,
     validate_partial,
     validate_uninorm,
@@ -182,9 +181,15 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
     first argument.  Cells and values are positions in ``dom``.  Every
     filled cell already agrees with the others, so a new value v at (i, j)
     is compared only with the filled cells of column j in the rows
-    comparable to i, and likewise at its mirror (j, i): O(m) per node.  A
-    complete filling is decided for associativity on its positions, and
-    only one that passes is built into an id-keyed table and yielded.
+    comparable to i, and likewise at its mirror (j, i): O(m) per node.
+
+    Associativity is decided as each row completes.  After the last cell
+    of row i, rows 0..i and the neutral row are complete, and a triple
+    (x, y, z) is final once rows x, y and t(x, y) are: the filling is
+    pruned on the first such triple, new with row i, that fails.  Triples
+    through the neutral element hold, and after the last row every triple
+    has been checked, so each leaf is associative and is built into an
+    id-keyed table and yielded.
     """
     if neutral not in dom:
         raise UnknownElement(neutral)
@@ -197,7 +202,9 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
     t = [None] * (m * m)
     for k in range(m):
         t[e * m + k] = t[k * m + e] = k
-    cells = [(i, j) for i in range(m) for j in range(i, m) if e not in (i, j)]
+    # Each cell with the row it completes, if it is that row's last cell.
+    last = m - 2 if e == m - 1 else m - 1
+    cells = [(i, j, i if j == last else None) for i in range(m) for j in range(i, m) if e not in (i, j)]
 
     def fits(i, j, v) -> bool:
         """Whether t(i, j) = v is monotone against column j's filled cells."""
@@ -211,15 +218,29 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
                 return False
         return True
 
+    def associative_with(i) -> bool:
+        """Whether t(t(x, y), z) = t(x, t(y, z)) for every z and every pair
+        (x, y) off e that row i completes: rows x, y and w = t(x, y) are
+        complete, and i is one of them.  Row w must be row x read at row y."""
+        done = (1 << i + 1) - 1 | 1 << e
+        rows = [t[k:k + m] for k in range(0, m * m, m)]
+        span = [x for x in range(i + 1) if x != e]
+        for x in span:
+            rx = rows[x]
+            for y in span:
+                w = rx[y]
+                if (i == w or i == x or i == y) and done >> w & 1 and [rx[v] for v in rows[y]] != rows[w]:
+                    return False
+        return True
+
     def rec(c):
         if c == len(cells):
-            if _associative_witness(_rows(t, m)) is None:
-                yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
+            yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
             return
-        i, j = cells[c]
+        i, j, row = cells[c]
         for v in range(m):
             t[i * m + j] = t[j * m + i] = v
-            if fits(i, j, v) and (i == j or fits(j, i, v)):
+            if fits(i, j, v) and (i == j or fits(j, i, v)) and (row is None or associative_with(row)):
                 yield from rec(c + 1)
         t[i * m + j] = t[j * m + i] = None
 

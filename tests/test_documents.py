@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import latuni
 from latuni import (
     CLOSURE,
     INTERIOR,
@@ -334,6 +339,46 @@ def test_cli_element_id_not_encodable_as_utf8_is_exit_2(tmp_path, capsys, comman
         stdout.flush()
     assert rc == 2
     _assert_one_error_line(capsys)
+
+
+def _run_latuni(argv, env=None, **kwargs):
+    """``python -m latuni.cli argv`` in a child process importing this
+    latuni; stdout and stderr are captured as bytes unless redirected."""
+    env = {**os.environ, "PYTHONPATH": str(Path(latuni.__file__).parents[1]), **(env or {})}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "latuni.cli", *argv], env=env, stderr=subprocess.PIPE, timeout=120, **kwargs
+    )
+
+
+@pytest.mark.parametrize("command", ["export-dot", "classify"])
+def test_cli_element_id_not_encodable_on_an_ascii_stdout_is_exit_2(tmp_path, command):
+    """A diamond whose side id is an e-acute, written to an ASCII stdout:
+    one ASCII error line, no traceback and nothing on stdout."""
+    acute = {SURROGATE: "\u00e9"}
+    elements = [acute.get(x, x) for x in DIAMOND["elements"]]
+    covers = [tuple(acute.get(x, x) for x in c) for c in DIAMOND["covers"]]
+    lat = build_lattice(elements, covers, "0", "1")
+    lattice, table = tmp_path / "lattice.json", tmp_path / "table.json"
+    lattice.write_text(serialize_lattice(lat), encoding="utf-8")
+    table.write_text(serialize_binop(reference_karacal_mesiar(lat, "e", join_tconorm(lat, "e"), "s")))
+    argv = [command, "--lattice", str(lattice)] + (["--binop", str(table)] if command == "classify" else [])
+    done = _run_latuni(argv, env={"PYTHONIOENCODING": "ascii"})
+    err = done.stderr.decode("ascii")
+    assert done.returncode == 2 and done.stdout == b""
+    assert err == "error: the ascii encoding of stdout cannot write '\\xe9'\n"
+
+
+def test_cli_closed_stdout_pipe_is_exit_1_without_a_traceback():
+    """The reader of stdout has gone, as after ``| head -2``: exit 1, and
+    nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_latuni(["search-closures", "--lattice", data_path("l1.lattice.json")], stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1 and done.stderr == b""
 
 
 def _assert_one_error_line(capsys):

@@ -9,9 +9,11 @@ from latuni import (
     INTERIOR,
     ConstructionSpec,
     Family,
+    FullBinOpTable,
     IntervalSpec,
     TCONORM,
     TNORM,
+    build_lattice,
     check_characteristic,
     check_hypotheses,
     classify,
@@ -468,6 +470,35 @@ def test_searches_match_pinned_digest():
     """Every table both searches yield, in order, on the small lattices and
     l1-l3 (``search_digest.py``)."""
     assert search_digest() == ("8bbd20bca551624a3def962a295ff9c11270053c8998a2dc5dd3697653ef2b09", 1448)
+
+
+def _chain_product_2x3():
+    name = "p{}_{}".format
+    elements = [name(i, j) for i in range(2) for j in range(3)]
+    covers = [(name(0, j), name(1, j)) for j in range(3)]
+    covers += [(name(i, j), name(i, j + 1)) for i in range(2) for j in range(2)]
+    return build_lattice(elements, covers, name(0, 0), name(1, 2))
+
+
+@pytest.mark.parametrize(
+    "make, counts",
+    [(lambda: chain(6), [68, 51, 51, 68]), (_chain_product_2x3, [48, 123, 123, 48])],
+    ids=["chain6", "chain2x3"],
+)
+def test_table_search_past_the_uninorm_cap(make, counts):
+    """Six elements, past the brute-force cap of 5: at every e strictly
+    between the bounds, every table the search yields is a uninorm, by
+    validate_uninorm and by the naive checks, and their number is pinned."""
+    lat = make()
+    leq = _naive_leq(lat)
+    found = []
+    for e in lat.elements[1:-1]:
+        tables = list(_monotone_commutative_tables(lat, lat.elements, e))
+        for table in tables:
+            assert validate_uninorm(FullBinOpTable(lat, table, neutral=e)).ok, (e, table)
+            assert all(check["ok"] for check in naive_uninorm_report(lat.elements, leq, table, e).values())
+        found.append(len(tables))
+    assert found == counts
 
 
 def test_constructed_tables_appear_in_brute_force(fx_l1):
