@@ -3,7 +3,8 @@
 Partial tables (t-norms / t-conorms on a closed subinterval) are
 certified at construction.  Full tables carry no algebraic guarantees:
 :func:`validate_uninorm` produces an AxiomReport whose witnesses, when
-present, refute the axiom on re-evaluation.  All scans run row-major over
+present, refute the axiom on re-evaluation, and a :class:`Uninorm` is a
+full table built after that report passed.  All scans run row-major over
 declared element order so the first witness is reproducible.
 """
 
@@ -61,9 +62,13 @@ class PartialBinOpTable:
         return hash((self.domain, self.role, tuple(sorted(self.table.items()))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullBinOpTable:
-    """A total binary operation on the lattice with a claimed neutral element."""
+    """A total binary operation on the lattice with a claimed neutral element.
+
+    Tables compare and hash by lattice, table and neutral element alone, so
+    a :class:`Uninorm` equals the plain table it certifies.
+    """
 
     lattice: BoundedLattice
     table: dict
@@ -72,8 +77,22 @@ class FullBinOpTable:
     def __call__(self, x, y) -> str:
         return self.table[x, y]
 
+    def __eq__(self, other):
+        if not isinstance(other, FullBinOpTable):
+            return NotImplemented
+        return (self.lattice, self.table, self.neutral) == (other.lattice, other.table, other.neutral)
+
     def __hash__(self):
         return hash((self.neutral, tuple(sorted(self.table.items()))))
+
+
+class Uninorm(FullBinOpTable):
+    """A full table that :func:`validate_uninorm` has certified.
+
+    ``brute_force_uninorms`` builds one only after the check passes, and
+    :func:`classify` reads it as a uninorm without checking it again: build
+    one from no other table.
+    """
 
 
 @dataclass
@@ -406,31 +425,25 @@ def check_associativity_partitioned(candidate: FullBinOpTable, blocks):
     return True, None
 
 
-def _forced_value_witnesses(candidate, xs, ys, expected):
-    t = candidate.table
-    out = []
-    for x in xs:
-        for y in ys:
-            want = expected(x, y)
-            if t[x, y] != want:
-                out.append((x, y, t[x, y]))
-    return tuple(out)
-
-
 def _class_regions(lat: BoundedLattice, e: str) -> tuple:
-    """The regions the class flags read, memoised per lattice and e:
-    ]e,1], ]e,1[, [0,e[, ]0,e[, L \\ [e,1] and L \\ [0,e]."""
+    """The regions the class flags read, as position tuples in declared
+    order, memoised per lattice and e: ]e,1], ]e,1[, [0,e[, ]0,e[,
+    L \\ [e,1] and L \\ [0,e]."""
 
     def make():
-        upper = set(lat.interval(IntervalSpec(e, lat.top)))
-        lower = set(lat.interval(IntervalSpec(lat.bottom, e)))
+        i = lat.positions[e]
+        top, bottom = lat.positions[lat.top], lat.positions[lat.bottom]
+        above, below = lat.up[i], lat.down[i]
+        everything = range(len(lat))
+        above_half = tuple(j for j in everything if above >> j & 1 and j != i)
+        below_half = tuple(j for j in everything if below >> j & 1 and j != i)
         return (
-            lat.interval(IntervalSpec(e, lat.top, low_open=True)),
-            lat.interval(IntervalSpec(e, lat.top, low_open=True, high_open=True)),
-            lat.interval(IntervalSpec(lat.bottom, e, high_open=True)),
-            lat.interval(IntervalSpec(lat.bottom, e, low_open=True, high_open=True)),
-            tuple(x for x in lat.elements if x not in upper),
-            tuple(x for x in lat.elements if x not in lower),
+            above_half,
+            tuple(j for j in above_half if j != top),
+            below_half,
+            tuple(j for j in below_half if j != bottom),
+            tuple(j for j in everything if not above >> j & 1),
+            tuple(j for j in everything if not below >> j & 1),
         )
 
     return lat.derived(("classify", e), make)
@@ -439,33 +452,38 @@ def _class_regions(lat: BoundedLattice, e: str) -> tuple:
 def classify(candidate: FullBinOpTable) -> ClassMembership:
     """Membership in the eight uninorm classes by direct evaluation.
 
-    The candidate must pass validate_uninorm first.
+    A :class:`Uninorm` is already certified.  Any other table is checked
+    by validate_uninorm first, and NotAUninorm is raised when it fails.
+    Each flag lists the cells (x, y, t(x, y)) that break its forced value,
+    t(x, y) = y or t(x, y) = x, row-major over the declared element order.
     """
-    report = validate_uninorm(candidate)
-    if not report.ok:
+    if not isinstance(candidate, Uninorm) and not validate_uninorm(candidate).ok:
         raise NotAUninorm("candidate fails the uninorm axioms")
     lat = candidate.lattice
+    els = lat.elements
+    n = len(els)
+    t = _positions(lat, els, candidate.table)
     above_half, above_open, below_half, below_open, not_upper, not_lower = _class_regions(lat, candidate.neutral)
+    top, bottom = (lat.positions[lat.top],), (lat.positions[lat.bottom],)
 
-    snd = lambda x, y: y
-    fst = lambda x, y: x
-    flags = {}
-    flags["u_min"] = _forced_value_witnesses(candidate, above_half, not_upper, snd)
-    flags["u_max"] = _forced_value_witnesses(candidate, below_half, not_lower, snd)
-    flags["u_min_star"] = _forced_value_witnesses(candidate, above_half, below_half, snd)
-    flags["u_max_star"] = _forced_value_witnesses(candidate, below_half, above_half, snd)
-    flags["u_min_r"] = _forced_value_witnesses(candidate, above_half, not_upper, fst)
-    flags["u_max_r"] = _forced_value_witnesses(candidate, below_half, not_lower, fst)
-    flags["u_min_1"] = _forced_value_witnesses(
-        candidate, above_open, not_upper, snd
-    ) + _forced_value_witnesses(candidate, (lat.top,), not_upper, lambda x, y: lat.top)
-    flags["u_max_0"] = _forced_value_witnesses(
-        candidate, below_open, not_lower, snd
-    ) + _forced_value_witnesses(candidate, (lat.bottom,), not_lower, lambda x, y: lat.bottom)
+    def snd(xs, ys):
+        return tuple([(els[x], els[y], els[v]) for x in xs for y in ys if (v := t[x * n + y]) != y])
 
-    return ClassMembership(
-        {name: ClassFlag(not ws, ws) for name, ws in flags.items()}
-    )
+    def fst(xs, ys):
+        return tuple([(els[x], els[y], els[v]) for x in xs for y in ys if (v := t[x * n + y]) != x])
+
+    # u_min_1 and u_max_0 also ask the top, or the bottom, to absorb: t(x, y) = x.
+    flags = {
+        "u_min": snd(above_half, not_upper),
+        "u_max": snd(below_half, not_lower),
+        "u_min_star": snd(above_half, below_half),
+        "u_max_star": snd(below_half, above_half),
+        "u_min_r": fst(above_half, not_upper),
+        "u_max_r": fst(below_half, not_lower),
+        "u_min_1": snd(above_open, not_upper) + fst(top, not_upper),
+        "u_max_0": snd(below_open, not_lower) + fst(bottom, not_lower),
+    }
+    return ClassMembership({name: ClassFlag(not ws, ws) for name, ws in flags.items()})
 
 
 def strictness_check(partial: PartialBinOpTable):

@@ -328,22 +328,27 @@ def _plan(lat: BoundedLattice, e: str, strict: bool):
     def make():
         els = lat.elements
         region = _partition(lat, e, strict).labels
+        # The region tests, made once per element rather than once per cell.
+        tested = [
+            (x, r is RegionLabel.TOP, r in _UPPER, r is RegionLabel.E, r in _OPERATED)
+            for x, r in zip(els, region)
+        ]
         base, boundary, mixed = [], [], []
-        for x, rx in zip(els, region):
-            for y, ry in zip(els, region):
+        for x, top_x, upper_x, e_x, operated_x in tested:
+            for y, top_y, upper_y, e_y, operated_y in tested:
                 k = len(base)
                 base.append(None)
-                if RegionLabel.TOP in (rx, ry):
+                if top_x or top_y:
                     base[k] = lat.top
-                elif rx in _UPPER and ry in _UPPER:
+                elif upper_x and upper_y:
                     boundary.append(k)
-                elif rx is RegionLabel.E:
+                elif e_x:
                     base[k] = y
-                elif ry is RegionLabel.E:
+                elif e_y:
                     base[k] = x
-                elif rx in _OPERATED and ry in _UPPER:
+                elif operated_x and upper_y:
                     mixed.append((k, x))
-                elif ry in _OPERATED and rx in _UPPER:
+                elif operated_y and upper_x:
                     mixed.append((k, y))
                 else:
                     base[k] = lat.bottom

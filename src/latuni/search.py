@@ -23,6 +23,7 @@ from typing import Iterator
 from .binop import (
     FullBinOpTable,
     PartialBinOpTable,
+    Uninorm,
     role_neutral,
     validate_partial,
     validate_uninorm,
@@ -176,12 +177,14 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
     ``neutral`` whose partial fillings all stay monotone.
 
     Depth-first over the cells off the neutral row and column, upper
-    triangle in row-major order, each taking the values of ``dom`` in
-    order; a filling is pruned as soon as it breaks monotonicity in the
-    first argument.  Cells and values are positions in ``dom``.  Every
-    filled cell already agrees with the others, so a new value v at (i, j)
-    is compared only with the filled cells of column j in the rows
-    comparable to i, and likewise at its mirror (j, i): O(m) per node.
+    triangle in row-major order.  Cells and values are positions in
+    ``dom``.  Every filled cell already agrees with the others, so a cell
+    (i, j) may take the values monotone against the filled cells of column
+    j in the rows comparable to i, and likewise at its mirror (j, i): a
+    bitmask, the AND of ``up[a]`` over the values a filled below and of
+    ``down[b]`` over those filled above, computed once per node in O(m).
+    Its set bits are visited in increasing order, so the tables come in
+    lexicographic order over ``dom``.
 
     Associativity is decided as each row completes.  After the last cell
     of row i, rows 0..i and the neutral row are complete, and a triple
@@ -195,6 +198,8 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
         raise UnknownElement(neutral)
     m = len(dom)
     up = [sum(1 << k for k, y in enumerate(dom) if lat.leq(x, y)) for x in dom]
+    down = [sum(1 << k for k in range(m) if up[k] >> x & 1) for x in range(m)]
+    everything = (1 << m) - 1
     # Row offsets of the rows strictly below and strictly above each row.
     below = [[k * m for k in range(m) if k != i and up[k] >> i & 1] for i in range(m)]
     above = [[k * m for k in range(m) if k != i and up[i] >> k & 1] for i in range(m)]
@@ -206,17 +211,19 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
     last = m - 2 if e == m - 1 else m - 1
     cells = [(i, j, i if j == last else None) for i in range(m) for j in range(i, m) if e not in (i, j)]
 
-    def fits(i, j, v) -> bool:
-        """Whether t(i, j) = v is monotone against column j's filled cells."""
+    def fitting(i, j) -> int:
+        """The bitmask of the values v for which t(i, j) = v is monotone
+        against column j's filled cells."""
+        mask = everything
         for r in below[i]:
             a = t[r + j]
-            if a is not None and not up[a] >> v & 1:
-                return False
+            if a is not None:
+                mask &= up[a]
         for r in above[i]:
             b = t[r + j]
-            if b is not None and not up[v] >> b & 1:
-                return False
-        return True
+            if b is not None:
+                mask &= down[b]
+        return mask
 
     def associative_with(i) -> bool:
         """Whether t(t(x, y), z) = t(x, t(y, z)) for every z and every pair
@@ -238,26 +245,29 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
             yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
             return
         i, j, row = cells[c]
-        for v in range(m):
-            t[i * m + j] = t[j * m + i] = v
-            if fits(i, j, v) and (i == j or fits(j, i, v)) and (row is None or associative_with(row)):
+        mask = fitting(i, j) if i == j else fitting(i, j) & fitting(j, i)
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            t[i * m + j] = t[j * m + i] = bit.bit_length() - 1
+            if row is None or associative_with(row):
                 yield from rec(c + 1)
         t[i * m + j] = t[j * m + i] = None
 
     yield from rec(0)
 
 
-def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[FullBinOpTable]:
+def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[Uninorm]:
     """Every commutative total table with neutral e passing all axioms.
 
     The table search yields only the monotone associative tables, and each
-    is still certified by ``validate_uninorm`` before it is yielded.
+    is still certified by ``validate_uninorm`` before it is yielded as a
+    :class:`Uninorm`, which ``classify`` then reads without a second check.
     Ground truth for class-inclusion and construction-coverage tests;
     guarded to tiny lattices.
     """
     if len(lat) > MAX_UNINORM_LATTICE:
         raise LatticeTooLarge(f"uninorm search capped at {MAX_UNINORM_LATTICE} elements")
     for table in _monotone_commutative_tables(lat, lat.elements, e):
-        candidate = FullBinOpTable(lat, table, neutral=e)
-        if validate_uninorm(candidate).ok:
-            yield candidate
+        if validate_uninorm(FullBinOpTable(lat, table, neutral=e)).ok:
+            yield Uninorm(lat, table, e)

@@ -2,7 +2,8 @@
 
 The order is a set of id pairs, meets and joins are found by scanning
 every element (O(n^4)), and the operator, t-(co)norm and uninorm axioms
-are checked by dict lookups on the map or table.  Nothing here uses
+and the uninorm class flags are checked by dict lookups on the map or
+table.  Nothing here uses
 ``latuni.lattice``, ``latuni.unary`` or ``latuni.binop``;
 ``test_references.py`` compares the two.
 """
@@ -107,6 +108,38 @@ def naive_uninorm_report(elements, leq, t, e) -> dict:
             ("neutral", neutral),
         )
     }
+
+
+def naive_classify(elements, leq, t, e, bottom, top) -> dict:
+    """The eight class flags of uninorm ``t`` in the form of ``ClassMembership.as_dict``.
+
+    Each flag lists every cell (x, y, t(x, y)) that breaks its forced
+    value, row-major over ``elements``; the first is the canonical witness.
+    """
+    els = tuple(elements)
+    above_half = [x for x in els if (e, x) in leq and x != e]
+    above_open = [x for x in above_half if x != top]
+    below_half = [x for x in els if (x, e) in leq and x != e]
+    below_open = [x for x in below_half if x != bottom]
+    not_upper = [x for x in els if (e, x) not in leq]
+    not_lower = [x for x in els if (x, e) not in leq]
+
+    def forced(xs, ys, expected):
+        return [(x, y, t[x, y]) for x in xs for y in ys if t[x, y] != expected(x, y)]
+
+    snd = lambda x, y: y
+    fst = lambda x, y: x
+    flags = {
+        "u_min": forced(above_half, not_upper, snd),
+        "u_max": forced(below_half, not_lower, snd),
+        "u_min_star": forced(above_half, below_half, snd),
+        "u_max_star": forced(below_half, above_half, snd),
+        "u_min_r": forced(above_half, not_upper, fst),
+        "u_max_r": forced(below_half, not_lower, fst),
+        "u_min_1": forced(above_open, not_upper, snd) + forced([top], not_upper, lambda x, y: top),
+        "u_max_0": forced(below_open, not_lower, snd) + forced([bottom], not_lower, lambda x, y: bottom),
+    }
+    return {name: {"member": not ws, "witnesses": ws} for name, ws in flags.items()}
 
 
 def naive_validate_unary(elements, leq, meet, join, kind, mapping) -> dict:

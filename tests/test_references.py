@@ -2,10 +2,11 @@
 
 ``naive.py`` holds the order, meet/join and axiom scans as plain set and
 dict computations; here they are compared with ``build_lattice``,
-``validate_uninorm``, ``validate_unary`` and ``validate_partial`` on the
-bundled lattices, on every table of an l2 sweep, on every self-map of the
-small lattices, on one-cell corruptions of the golden tables and of the
-join t-conorms and meet t-norms, and on drawn inputs.
+``validate_uninorm``, ``validate_unary``, ``validate_partial`` and
+``classify`` on the bundled lattices, on every table of an l2 sweep, on
+every self-map of the small lattices, on every uninorm of the small
+lattices, on one-cell corruptions of the golden tables and of the join
+t-conorms and meet t-norms, and on drawn inputs.
 """
 
 import functools
@@ -23,6 +24,7 @@ from latuni import (
     FullBinOpTable,
     IntervalSpec,
     build_lattice,
+    classify,
     construct,
     join_tconorm,
     meet_tnorm,
@@ -33,8 +35,9 @@ from latuni import (
 )
 from latuni.errors import LatuniError, UnknownElement
 from latuni.fixtures import FIXTURES, SMALL_LATTICES
-from latuni.search import enumerate_admissible_pairs
+from latuni.search import brute_force_uninorms, enumerate_admissible_pairs
 from naive import (
+    naive_classify,
     naive_lattice,
     naive_uninorm_report,
     naive_validate_partial,
@@ -61,6 +64,37 @@ def test_kernel_matches_naive_lattice_on_bundled_lattices():
     for lat in lattices:
         for order in (lat, lat.dual()):
             _assert_same_lattice(order, _naive(order))
+
+
+def _assert_same_classes(u: FullBinOpTable, leq):
+    """classify's flags and whole witness lists, in order, against the naive rule."""
+    lat = u.lattice
+    expected = naive_classify(lat.elements, leq, u.table, u.neutral, lat.bottom, lat.top)
+    assert classify(u).as_dict() == expected
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_LATTICES))
+def test_classify_matches_naive_on_every_small_uninorm(name):
+    lat = SMALL_LATTICES[name]()
+    leq, _, _ = _naive(lat)
+    found = 0
+    for e in lat.elements:
+        for u in brute_force_uninorms(lat, e):
+            _assert_same_classes(u, leq)
+            found += 1
+    assert found
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_classify_matches_naive_on_golden_and_meet_tables(name):
+    """The golden table at e, and the meet table with the top as neutral
+    element, where nothing lies above the neutral element."""
+    lat = FIXTURES[name]().lattice
+    leq, _, _ = _naive(lat)
+    _, golden = TABLES[name]
+    _assert_same_classes(FullBinOpTable(lat, dict(golden), neutral="e"), leq)
+    meet = {(x, y): lat.meet(x, y) for x in lat.elements for y in lat.elements}
+    _assert_same_classes(FullBinOpTable(lat, meet, neutral=lat.top), leq)
 
 
 @st.composite
@@ -235,6 +269,13 @@ def test_validate_uninorm_matches_naive_on_corrupted_chain_product_table():
         for other in lat.elements:
             if other != value:
                 _assert_same_report(FullBinOpTable(lat, {**km, cell: other}, neutral=e), leq)
+
+
+@pytest.mark.parametrize("name", ["p4x5", "p5x6", "p6x7"])
+def test_classify_matches_naive_on_karacal_mesiar_tables(name):
+    lat, e, (leq, _, _) = _site(name)
+    for side, boundary in (("s", join_tconorm(lat, e)), ("t", meet_tnorm(lat, e))):
+        _assert_same_classes(reference_karacal_mesiar(lat, e, boundary, side), leq)
 
 
 def test_validate_uninorm_matches_naive_with_a_transitive_cover():

@@ -13,6 +13,8 @@ from latuni import (
     IntervalSpec,
     TCONORM,
     TNORM,
+    Uninorm,
+    binop,
     build_lattice,
     check_characteristic,
     check_hypotheses,
@@ -30,6 +32,7 @@ from latuni.errors import (
     InvalidArgument,
     LatticeTooLarge,
     MismatchedLattice,
+    NotAUninorm,
     UnknownElement,
 )
 from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, diamond, m3, n5
@@ -41,6 +44,7 @@ from latuni.search import (
     enumerate_unary,
 )
 from naive import naive_lattice, naive_uninorm_report, naive_validate_partial
+from reference_tables import L1_TABLE
 from search_digest import search_digest
 
 
@@ -464,6 +468,40 @@ def test_searches_certify_only_the_tables_they_yield(monkeypatch):
                 partials += len(list(enumerate_partial_binops(lat, domain, role)))
     assert uninorms and calls["uninorm"] == uninorms
     assert partials and calls["partial"] == partials
+
+
+def test_classify_certifies_each_uninorm_once(monkeypatch, fx_l1):
+    """classify checks the axioms of a plain table once and of a Uninorm
+    from the search not again; the two are equal either way round, hash
+    the same and get the same flags, and a broken plain table still raises
+    NotAUninorm."""
+    uninorms = []
+    for make in SMALL_LATTICES.values():
+        lat = make()
+        for e in lat.elements:
+            uninorms += brute_force_uninorms(lat, e)
+    calls = []
+
+    def counted(candidate):
+        calls.append(candidate)
+        return validate_uninorm(candidate)
+
+    monkeypatch.setattr(binop, "validate_uninorm", counted)
+    for u in uninorms:
+        assert isinstance(u, Uninorm)
+        plain = FullBinOpTable(u.lattice, dict(u.table), neutral=u.neutral)
+        assert u == plain and plain == u and hash(u) == hash(plain)
+        calls.clear()
+        flags = classify(u).as_dict()
+        assert len(calls) == 0
+        assert classify(plain).as_dict() == flags
+        assert len(calls) == 1
+    broken = dict(L1_TABLE)
+    broken["a", "j"] = broken["j", "a"] = "j"
+    calls.clear()
+    with pytest.raises(NotAUninorm):
+        classify(FullBinOpTable(fx_l1.lattice, broken, neutral="e"))
+    assert len(calls) == 1
 
 
 def test_searches_match_pinned_digest():
