@@ -1,11 +1,13 @@
 """Binary operation tables and their axiom checkers.
 
-Partial tables (t-norms / t-conorms on a closed subinterval) are
-certified at construction.  Full tables carry no algebraic guarantees:
-:func:`validate_uninorm` produces an AxiomReport whose witnesses, when
-present, refute the axiom on re-evaluation, and a :class:`Uninorm` is a
-full table built after that report passed.  All scans run row-major over
-declared element order so the first witness is reproducible.
+Full tables carry no algebraic guarantees: :func:`validate_uninorm`
+produces an AxiomReport whose witnesses, when present, refute the axiom
+on re-evaluation, and a :class:`Uninorm` is a full table built after that
+report passed.  A t-norm or t-conorm on a closed interval is a uninorm on
+the interval's own lattice, with its neutral element at a bound, so
+:func:`validate_partial` certifies a partial table by running
+:func:`validate_uninorm` there.  All scans run row-major over declared
+element order so the first witness is reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     OutOfDomainOutput,
     UnknownElement,
 )
-from .lattice import BoundedLattice, IntervalSpec
+from .lattice import BoundedLattice, IntervalSpec, RegionLabel, case_partition
 
 TNORM = "tnorm"
 TCONORM = "tconorm"
@@ -181,36 +183,23 @@ def validate_partial(lat: BoundedLattice, domain: IntervalSpec, role: str, table
     Raises UnknownElement (see :func:`_positions`), then OutOfDomainOutput
     for the first cell leaving the domain, then AxiomViolation for the
     first failing axiom in the order neutral, commutative, associative,
-    monotone.  The table is read once into positions of the domain; every
-    scan runs row-major over declared element order.
+    monotone, as :func:`validate_uninorm` finds it on the domain's
+    interval lattice.
     """
     neutral = role_neutral(role, domain)
     dom = lat.interval(domain)
     table = dict(table)
-    m = len(dom)
-    at = [lat.positions[x] for x in dom]
-    local = {p: k for k, p in enumerate(at)}
     t = _positions(lat, dom, table)
-    try:
-        t = [local[v] for v in t]
-    except KeyError:
-        i = next(i for i, v in enumerate(t) if v not in local)
-        x, y = dom[i // m], dom[i % m]
-        raise OutOfDomainOutput(x, y, table[x, y]) from None
-    rows, cols = _rows_and_columns(t, m)
-    # The order restricted to the domain, as bitmasks of domain positions,
-    # and the covers inside it, which generate it since intervals are convex.
-    up = [sum(1 << k for k, q in enumerate(at) if lat.up[p] >> q & 1) for p in at]
-    covers = [(local[a], local[b]) for a, b in _cover_positions(lat) if a in local and b in local]
-    e = dom.index(neutral)
-    if (w := _neutral_witness(rows, cols, e)) is not None:
-        raise AxiomViolation("neutral", tuple(dom[i] for i in w))
-    if (w := _commutative_witness(rows, cols)) is not None:
-        raise AxiomViolation("commutative", tuple(dom[i] for i in w))
-    if (w := _associative_witness(rows)) is not None:
-        raise AxiomViolation("associative", tuple(dom[i] for i in w))
-    if (w := _monotone_witness(up, covers, rows)) is not None:
-        raise AxiomViolation("monotone", tuple(dom[i] for i in w))
+    inside = {lat.positions[x] for x in dom}
+    if not inside.issuperset(t):
+        k = next(k for k, v in enumerate(t) if v not in inside)
+        x, y = dom[k // len(dom)], dom[k % len(dom)]
+        raise OutOfDomainOutput(x, y, table[x, y])
+    report = validate_uninorm(FullBinOpTable(lat.interval_lattice(domain), table, neutral))
+    for name in ("neutral", "commutative", "associative", "monotone"):
+        check = getattr(report, name)
+        if not check.ok:
+            raise AxiomViolation(name, check.witness)
     return PartialBinOpTable(lat, domain, role, table)
 
 
@@ -266,10 +255,10 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
     )
 
 
-# The axiom scans shared by validate_uninorm and validate_partial.  They
-# read a table on positions 0..m-1 as its rows (rows[x][y] = t(x, y)) and
-# columns (cols[y][x] = t(x, y)), both tuples, and return the first
-# witness, as positions, or None.
+# The axiom scans of validate_uninorm.  They read a table on positions
+# 0..m-1 as its rows (rows[x][y] = t(x, y)) and columns (cols[y][x] =
+# t(x, y)), both tuples, and return the first witness, as positions, or
+# None.
 
 def _rows_and_columns(t, m):
     t = tuple(t)
@@ -347,19 +336,6 @@ def _first_difference(a, b) -> int:
     return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
-def associativity_witnesses(candidate: FullBinOpTable):
-    """All associativity-violating triples, in scan order."""
-    t = candidate.table
-    els = candidate.lattice.elements
-    return tuple(
-        (x, y, z)
-        for x in els
-        for y in els
-        for z in els
-        if t[x, t[y, z]] != t[t[x, y], z]
-    )
-
-
 def check_associativity_partitioned(candidate: FullBinOpTable, blocks):
     """Associativity via the block case-analysis for commutative tables.
 
@@ -425,26 +401,26 @@ def check_associativity_partitioned(candidate: FullBinOpTable, blocks):
     return True, None
 
 
+# The regions the class flags read, as label sets of the strict case
+# partition around e: ]e,1], ]e,1[, [0,e[, ]0,e[, L \ [e,1] and L \ [0,e].
+# The partition labels e itself E, also when e is a bound.
+_CLASS_REGIONS = (
+    {RegionLabel.HIGH_OPEN, RegionLabel.TOP},
+    {RegionLabel.HIGH_OPEN},
+    {RegionLabel.ZERO, RegionLabel.LOW_OPEN},
+    {RegionLabel.LOW_OPEN},
+    {RegionLabel.ZERO, RegionLabel.LOW_OPEN, RegionLabel.INC},
+    {RegionLabel.HIGH_OPEN, RegionLabel.TOP, RegionLabel.INC},
+)
+
+
 def _class_regions(lat: BoundedLattice, e: str) -> tuple:
-    """The regions the class flags read, as position tuples in declared
-    order, memoised per lattice and e: ]e,1], ]e,1[, [0,e[, ]0,e[,
-    L \\ [e,1] and L \\ [0,e]."""
+    """The class regions as position tuples in declared order, memoised
+    per lattice and e."""
 
     def make():
-        i = lat.positions[e]
-        top, bottom = lat.positions[lat.top], lat.positions[lat.bottom]
-        above, below = lat.up[i], lat.down[i]
-        everything = range(len(lat))
-        above_half = tuple(j for j in everything if above >> j & 1 and j != i)
-        below_half = tuple(j for j in everything if below >> j & 1 and j != i)
-        return (
-            above_half,
-            tuple(j for j in above_half if j != top),
-            below_half,
-            tuple(j for j in below_half if j != bottom),
-            tuple(j for j in everything if not above >> j & 1),
-            tuple(j for j in everything if not below >> j & 1),
-        )
+        labels = case_partition(lat, e, True).labels
+        return tuple(tuple(j for j, r in enumerate(labels) if r in region) for region in _CLASS_REGIONS)
 
     return lat.derived(("classify", e), make)
 

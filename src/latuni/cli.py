@@ -27,7 +27,9 @@ from .construct import (
     check_hypotheses,
     construct,
 )
-from .errors import DomainTooLarge, InvalidArgument, LatticeTooLarge, LatuniError, ParseError
+from .errors import (
+    DomainTooLarge, HypothesesNotChecked, InvalidArgument, LatticeTooLarge, LatuniError, ParseError,
+)
 from .fixtures import FIXTURES
 from .search import (
     enumerate_admissible_pairs,
@@ -90,11 +92,12 @@ def cmd_construct(args) -> int:
     op_inc = pick(inc_src, args.op_inc, "--op-inc")
     spec = ConstructionSpec(family, lat, documents.element(lat, args.e, "--e"), boundary, op_low, op_inc)
 
-    hyp = check_hypotheses(spec)
-    if not hyp.passed:
+    try:
+        char = check_characteristic(spec)
+    except HypothesesNotChecked:
+        hyp = check_hypotheses(spec)
         _emit(args, hyp.as_dict(), _report_text("hypotheses", hyp))
         return 1
-    char = check_characteristic(spec)
     if not char.passed and not args.force:
         _emit(args, char.as_dict(), _report_text("characteristic conditions", char))
         return 1

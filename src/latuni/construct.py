@@ -14,9 +14,9 @@ own operators and boundary; reports are written in the spec's own terms,
 and region labels are mirrored back.
 
 A closure family splits the order around e into ]0,e[, I_e and [e,1], the
-strict one also splitting off the top.  Every check, the cell plan and
-``region_of`` read their regions from that one case partition
-(:func:`_partition`).
+strict one also splitting off the top.  Every check, the cell plan,
+``region_of`` and ``binop.classify`` read their regions from that one
+case partition, :func:`latuni.lattice.case_partition`.
 
 ``construct`` always builds the table, even when the characteristic
 conditions fail: that is what lets the verifier exhibit the concrete
@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import product
-from typing import NamedTuple
 
 from .binop import (
     FullBinOpTable,
@@ -44,7 +43,7 @@ from .binop import (
     strictness_check,
 )
 from .errors import HypothesesNotChecked, InvalidArgument, MismatchedLattice
-from .lattice import BoundedLattice, IntervalSpec
+from .lattice import BoundedLattice, IntervalSpec, RegionLabel, case_partition
 from .unary import CLOSURE, INTERIOR, UnaryOpTable, pointwise_leq_on, range_avoids
 
 
@@ -62,17 +61,6 @@ class Family(str, enum.Enum):
         self.strict = value.endswith("-strict")
         self.kind = CLOSURE if self.closure_based else INTERIOR
         self.role = TCONORM if self.closure_based else TNORM
-
-
-class RegionLabel(enum.Enum):
-    ZERO = "zero"
-    LOW_HALFOPEN = "low_halfopen"  # [0,e[
-    LOW_OPEN = "low_open"        # ]0,e[
-    E = "e"
-    INC = "inc"                  # I_e
-    HIGH_HALFOPEN = "high_halfopen"  # ]e,1]
-    HIGH_OPEN = "high_open"      # ]e,1[
-    TOP = "top"
 
 
 # The label of the same set of elements in the dual lattice's partition.
@@ -195,48 +183,10 @@ def _row(spec: ConstructionSpec, name: str, passed: bool, witnesses=(), vacuous=
     return ConditionRow(name, _STATEMENTS[spec.family.closure_based][name], passed, witnesses, vacuous)
 
 
-class _Partition(NamedTuple):
-    labels: tuple  # the RegionLabel of each element, by position
-    members: dict  # each RegionLabel's elements, in declared order
-
-
-def _partition(lat: BoundedLattice, e: str, strict: bool) -> _Partition:
-    """The closure-family case partition of ``lat`` around e, memoised on it.
-
-    e is E; in the strict family the top is TOP; the bottom is ZERO; the
-    elements incomparable with e are INC, those below e LOW_OPEN, and those
-    above e HIGH_OPEN (strict) or HIGH_HALFOPEN.
-    """
-
-    def make():
-        i = lat.index(e)
-        below, above = lat.down[i], lat.up[i]
-        labels = []
-        for j, x in enumerate(lat.elements):
-            if j == i:
-                labels.append(RegionLabel.E)
-            elif strict and x == lat.top:
-                labels.append(RegionLabel.TOP)
-            elif x == lat.bottom:
-                labels.append(RegionLabel.ZERO)
-            elif below >> j & 1:
-                labels.append(RegionLabel.LOW_OPEN)
-            elif above >> j & 1:
-                labels.append(RegionLabel.HIGH_OPEN if strict else RegionLabel.HIGH_HALFOPEN)
-            else:
-                labels.append(RegionLabel.INC)
-        members = {
-            r: tuple(x for x, label in zip(lat.elements, labels) if label is r) for r in RegionLabel
-        }
-        return _Partition(tuple(labels), members)
-
-    return lat.derived(("partition", e, strict), make)
-
-
 def comparability_region(spec: ConstructionSpec) -> tuple:
     """Where op_low must lie below op_inc in the spec's order: the bottom,
     ]0,e[ and I_e of the order's partition, everything outside its [e,1]."""
-    part = _partition(_order(spec), spec.e, spec.family.strict).members
+    part = case_partition(_order(spec), spec.e, spec.family.strict).members
     return part[RegionLabel.ZERO] + part[RegionLabel.LOW_OPEN] + part[RegionLabel.INC]
 
 
@@ -275,7 +225,7 @@ def check_characteristic(spec: ConstructionSpec) -> ConditionReport:
     if not check_hypotheses(spec).passed:
         raise HypothesesNotChecked("construction hypotheses do not hold")
     strict = spec.family.strict
-    part = _partition(_order(spec), spec.e, strict).members
+    part = case_partition(_order(spec), spec.e, strict).members
     forbidden = _boundary_interval(spec)
     ok_low, wit_low = range_avoids(spec.op_low, part[RegionLabel.LOW_OPEN], forbidden)
     ok_inc, wit_inc = range_avoids(spec.op_inc, part[RegionLabel.INC], forbidden)
@@ -298,7 +248,7 @@ def region_of(spec: ConstructionSpec, x) -> RegionLabel:
     An interior family's partition is the mirror of its dual closure
     family's: [0,e[ is one region, LOW_HALFOPEN, for ``int2``.
     """
-    label = _partition(_order(spec), spec.e, spec.family.strict).labels[spec.lattice.index(x)]
+    label = case_partition(_order(spec), spec.e, spec.family.strict).labels[spec.lattice.index(x)]
     return label if spec.family.closure_based else _MIRROR[label]
 
 
@@ -327,7 +277,7 @@ def _plan(lat: BoundedLattice, e: str, strict: bool):
 
     def make():
         els = lat.elements
-        region = _partition(lat, e, strict).labels
+        region = case_partition(lat, e, strict).labels
         # The region tests, made once per element rather than once per cell.
         tested = [
             (x, r is RegionLabel.TOP, r in _UPPER, r is RegionLabel.E, r in _OPERATED)
@@ -415,7 +365,7 @@ def structural_class_predicate(spec: ConstructionSpec) -> bool:
     incomparability region.  Sufficient only, never necessary.
     """
     strict = spec.family.strict
-    part = _partition(_order(spec), spec.e, strict).members
+    part = case_partition(_order(spec), spec.e, strict).members
     regions = [RegionLabel.LOW_OPEN, RegionLabel.INC] if strict else [RegionLabel.LOW_OPEN]
     return all(
         spec.lattice.incomparable(x, y)

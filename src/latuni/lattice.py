@@ -7,14 +7,17 @@ below element j, and ``down[i]`` is its transpose.  Meet and join are flat
 row-major tables of positions, ``meets[i * n + j]``.  Every public method
 takes and returns ids at the cost of one index lookup; the per-cell and
 per-triple scans of the other modules read the integer views directly.
-Intervals and other tables that depend on the order alone are memoised
-on the lattice.  Iteration order is always the declared element order,
-which makes witness reporting and all exports deterministic.
+Intervals, case partitions and other tables that depend on the order
+alone are memoised on the lattice.  Iteration order is always the
+declared element order, which makes witness reporting and all exports
+deterministic.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     BoundsNotComparable,
@@ -144,6 +147,19 @@ class BoundedLattice:
             inside &= ~(1 << hi)
         return tuple(x for i, x in enumerate(self.elements) if inside >> i & 1)
 
+    def interval_lattice(self, spec: IntervalSpec) -> "BoundedLattice":
+        """The closed interval ``spec`` as a bounded lattice of its own, with
+        the covers inside it (an interval is convex) and bounds ``spec.low``
+        and ``spec.high``: a t-(co)norm on it is a uninorm on this lattice."""
+
+        def make():
+            dom = self.interval(spec)
+            inside = set(dom)
+            covers = tuple((lo, hi) for lo, hi in self.covers if lo in inside and hi in inside)
+            return build_lattice(dom, covers, spec.low, spec.high)
+
+        return self.derived(("interval lattice", spec), make)
+
     def incomparables(self, a) -> tuple[str, ...]:
         """All elements incomparable with ``a``, in declared element order."""
 
@@ -168,6 +184,55 @@ class BoundedLattice:
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
+
+
+class RegionLabel(enum.Enum):
+    ZERO = "zero"
+    LOW_HALFOPEN = "low_halfopen"  # [0,e[
+    LOW_OPEN = "low_open"        # ]0,e[
+    E = "e"
+    INC = "inc"                  # I_e
+    HIGH_HALFOPEN = "high_halfopen"  # ]e,1]
+    HIGH_OPEN = "high_open"      # ]e,1[
+    TOP = "top"
+
+
+class _Partition(NamedTuple):
+    labels: tuple  # the RegionLabel of each element, by position
+    members: dict  # each RegionLabel's elements, in declared order
+
+
+def case_partition(lat: BoundedLattice, e: str, strict: bool) -> _Partition:
+    """The closure-family case partition of ``lat`` around e, memoised on it.
+
+    e is E; in the strict family the top is TOP; the bottom is ZERO; the
+    elements incomparable with e are INC, those below e LOW_OPEN, and those
+    above e HIGH_OPEN (strict) or HIGH_HALFOPEN.
+    """
+
+    def make():
+        i = lat.index(e)
+        below, above = lat.down[i], lat.up[i]
+        labels = []
+        for j, x in enumerate(lat.elements):
+            if j == i:
+                labels.append(RegionLabel.E)
+            elif strict and x == lat.top:
+                labels.append(RegionLabel.TOP)
+            elif x == lat.bottom:
+                labels.append(RegionLabel.ZERO)
+            elif below >> j & 1:
+                labels.append(RegionLabel.LOW_OPEN)
+            elif above >> j & 1:
+                labels.append(RegionLabel.HIGH_OPEN if strict else RegionLabel.HIGH_HALFOPEN)
+            else:
+                labels.append(RegionLabel.INC)
+        members = {
+            r: tuple(x for x, label in zip(lat.elements, labels) if label is r) for r in RegionLabel
+        }
+        return _Partition(tuple(labels), members)
+
+    return lat.derived(("partition", e, strict), make)
 
 
 def build_lattice(elements, covers, bottom, top) -> BoundedLattice:

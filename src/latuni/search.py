@@ -165,26 +165,27 @@ def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: st
     dom = lat.interval(domain)
     if len(dom) > MAX_BINOP_DOMAIN:
         raise DomainTooLarge(f"binop enumeration capped at {MAX_BINOP_DOMAIN} elements")
-    for table in _monotone_commutative_tables(lat, dom, neutral):
+    for table in _monotone_commutative_tables(lat.interval_lattice(domain), neutral):
         try:
             yield validate_partial(lat, domain, role, table)
         except AxiomViolation:
             pass
 
 
-def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[dict]:
-    """Every associative commutative table on ``dom`` with identity
+def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]:
+    """Every associative commutative table on ``lat`` with identity
     ``neutral`` whose partial fillings all stay monotone.
 
     Depth-first over the cells off the neutral row and column, upper
     triangle in row-major order.  Cells and values are positions in
-    ``dom``.  Every filled cell already agrees with the others, so a cell
+    ``lat``, whose order is read from its ``up`` and ``down`` bitmasks.
+    Every filled cell already agrees with the others, so a cell
     (i, j) may take the values monotone against the filled cells of column
     j in the rows comparable to i, and likewise at its mirror (j, i): a
     bitmask, the AND of ``up[a]`` over the values a filled below and of
     ``down[b]`` over those filled above, computed once per node in O(m).
     Its set bits are visited in increasing order, so the tables come in
-    lexicographic order over ``dom``.
+    lexicographic order over the declared element order.
 
     Associativity is decided as each row completes.  After the last cell
     of row i, rows 0..i and the neutral row are complete, and a triple
@@ -194,16 +195,15 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
     has been checked, so each leaf is associative and is built into an
     id-keyed table and yielded.
     """
-    if neutral not in dom:
+    if neutral not in lat:
         raise UnknownElement(neutral)
-    m = len(dom)
-    up = [sum(1 << k for k, y in enumerate(dom) if lat.leq(x, y)) for x in dom]
-    down = [sum(1 << k for k in range(m) if up[k] >> x & 1) for x in range(m)]
+    els, up, down = lat.elements, lat.up, lat.down
+    m = len(els)
     everything = (1 << m) - 1
     # Row offsets of the rows strictly below and strictly above each row.
     below = [[k * m for k in range(m) if k != i and up[k] >> i & 1] for i in range(m)]
     above = [[k * m for k in range(m) if k != i and up[i] >> k & 1] for i in range(m)]
-    e = dom.index(neutral)
+    e = lat.positions[neutral]
     t = [None] * (m * m)
     for k in range(m):
         t[e * m + k] = t[k * m + e] = k
@@ -242,7 +242,7 @@ def _monotone_commutative_tables(lat: BoundedLattice, dom, neutral) -> Iterator[
 
     def rec(c):
         if c == len(cells):
-            yield {(x, y): dom[t[i * m + j]] for i, x in enumerate(dom) for j, y in enumerate(dom)}
+            yield {(x, y): els[t[i * m + j]] for i, x in enumerate(els) for j, y in enumerate(els)}
             return
         i, j, row = cells[c]
         mask = fitting(i, j) if i == j else fitting(i, j) & fitting(j, i)
@@ -268,6 +268,6 @@ def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[Uninorm]:
     """
     if len(lat) > MAX_UNINORM_LATTICE:
         raise LatticeTooLarge(f"uninorm search capped at {MAX_UNINORM_LATTICE} elements")
-    for table in _monotone_commutative_tables(lat, lat.elements, e):
+    for table in _monotone_commutative_tables(lat, e):
         if validate_uninorm(FullBinOpTable(lat, table, neutral=e)).ok:
             yield Uninorm(lat, table, e)

@@ -110,6 +110,19 @@ def naive_uninorm_report(elements, leq, t, e) -> dict:
     }
 
 
+def associativity_witnesses(candidate):
+    """All associativity-violating triples of a full table, in scan order."""
+    t = candidate.table
+    els = candidate.lattice.elements
+    return tuple(
+        (x, y, z)
+        for x in els
+        for y in els
+        for z in els
+        if t[x, t[y, z]] != t[t[x, y], z]
+    )
+
+
 def naive_classify(elements, leq, t, e, bottom, top) -> dict:
     """The eight class flags of uninorm ``t`` in the form of ``ClassMembership.as_dict``.
 

@@ -32,7 +32,6 @@ from latuni import (
     validate_unary,
     validate_uninorm,
 )
-from latuni.binop import associativity_witnesses
 from latuni.cli import cli_main
 from latuni.fixtures import FIXTURES, chain, diamond, l1, m3, n5
 from latuni.search import (
@@ -40,6 +39,7 @@ from latuni.search import (
     enumerate_admissible_pairs,
     enumerate_unary,
 )
+from naive import associativity_witnesses
 from reference_tables import TABLES
 
 

@@ -21,7 +21,6 @@ from latuni import (
     validate_partial,
     validate_uninorm,
 )
-from latuni.binop import associativity_witnesses
 from latuni.errors import (
     AxiomViolation,
     NotAPartition,
@@ -31,6 +30,7 @@ from latuni.errors import (
 )
 from latuni.fixtures import FIXTURES, chain, m3, n5
 from latuni.search import enumerate_unary
+from naive import associativity_witnesses
 from reference_tables import L1_TABLE, L2_TABLE
 
 

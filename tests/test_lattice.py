@@ -201,6 +201,28 @@ class TestLatticeLaws:
                 assert not inc & above
 
 
+def test_interval_lattice_is_the_closed_interval(fx_l1, fx_l2, fx_l3, small_lattices):
+    """Every closed interval [low, high] as a lattice of its own: its
+    elements in declared order, the covers inside it, low and high as its
+    bounds and the parent's order; memoised, and the whole lattice for
+    [bottom, top]."""
+    lattices = [fx_l1.lattice, fx_l2.lattice, fx_l3.lattice, *small_lattices.values()]
+    for lat in lattices:
+        for low, high in itertools.product(lat.elements, repeat=2):
+            if not lat.leq(low, high):
+                continue
+            spec = IntervalSpec(low, high)
+            sub = lat.interval_lattice(spec)
+            inside = [x for x in lat.elements if lat.leq(low, x) and lat.leq(x, high)]
+            assert sub.elements == tuple(inside)
+            assert sub.covers == tuple((a, b) for a, b in lat.covers if a in inside and b in inside)
+            assert (sub.bottom, sub.top) == (low, high)
+            for x, y in itertools.product(inside, repeat=2):
+                assert sub.leq(x, y) == lat.leq(x, y), (low, high, x, y)
+            assert lat.interval_lattice(IntervalSpec(low, high)) is sub
+        assert lat.interval_lattice(IntervalSpec(lat.bottom, lat.top)) == lat
+
+
 @given(data=st.data())
 def test_meet_join_commutative_sampled(fx_l1, data):
     lat = fx_l1.lattice

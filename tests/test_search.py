@@ -7,6 +7,7 @@ import pytest
 from latuni import (
     CLOSURE,
     INTERIOR,
+    BoundedLattice,
     ConstructionSpec,
     Family,
     FullBinOpTable,
@@ -380,7 +381,7 @@ def test_partial_binops_match_filtering_every_commutative_table(name):
                 except AxiomViolation:
                     continue
                 expected.append(table)
-            assert list(_monotone_commutative_tables(lat, dom, neutral)) == leaves, (low, high, role)
+            assert list(_monotone_commutative_tables(lat.interval_lattice(domain), neutral)) == leaves, (low, high, role)
             got = [p.table for p in enumerate_partial_binops(lat, domain, role)]
             assert got == expected, (low, high, role)
     assert intervals
@@ -437,7 +438,7 @@ def test_brute_force_uninorms_match_filtering_every_commutative_table(name):
             table for table, report in zip(tables, reports)
             if all(check["ok"] for check in report.values())
         ]
-        assert list(_monotone_commutative_tables(lat, lat.elements, e)) == leaves, e
+        assert list(_monotone_commutative_tables(lat, e)) == leaves, e
         got = list(brute_force_uninorms(lat, e))
         assert [u.table for u in got] == expected and all(u.neutral == e for u in got), e
 
@@ -468,6 +469,35 @@ def test_searches_certify_only_the_tables_they_yield(monkeypatch):
                 partials += len(list(enumerate_partial_binops(lat, domain, role)))
     assert uninorms and calls["uninorm"] == uninorms
     assert partials and calls["partial"] == partials
+
+
+def test_table_searches_ask_the_order_nothing(monkeypatch):
+    """The table search reads the order from its lattice's bitmasks, so
+    brute_force_uninorms and enumerate_partial_binops, whose validators
+    read them too, make no BoundedLattice.leq call."""
+    lattices = [make() for make in SMALL_LATTICES.values()]
+    domains = [
+        (lat, IntervalSpec(low, high))
+        for lat in lattices
+        for low, high in itertools.product(lat.elements, repeat=2)
+        if lat.leq(low, high)
+    ]
+    calls = []
+    leq = BoundedLattice.leq
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return leq(self, x, y)
+
+    monkeypatch.setattr(BoundedLattice, "leq", counted)
+    found = 0
+    for lat in lattices:
+        for e in lat.elements:
+            found += len(list(brute_force_uninorms(lat, e)))
+    for lat, domain in domains:
+        for role in (TNORM, TCONORM):
+            found += len(list(enumerate_partial_binops(lat, domain, role)))
+    assert found and calls == []
 
 
 def test_classify_certifies_each_uninorm_once(monkeypatch, fx_l1):
@@ -531,7 +561,7 @@ def test_table_search_past_the_uninorm_cap(make, counts):
     leq = _naive_leq(lat)
     found = []
     for e in lat.elements[1:-1]:
-        tables = list(_monotone_commutative_tables(lat, lat.elements, e))
+        tables = list(_monotone_commutative_tables(lat, e))
         for table in tables:
             assert validate_uninorm(FullBinOpTable(lat, table, neutral=e)).ok, (e, table)
             assert all(check["ok"] for check in naive_uninorm_report(lat.elements, leq, table, e).values())
