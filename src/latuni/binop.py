@@ -42,7 +42,9 @@ def role_neutral(role: str, domain: IntervalSpec) -> str:
 
 @dataclass(frozen=True)
 class PartialBinOpTable:
-    """A certified t-norm or t-conorm on a closed subinterval."""
+    """A certified t-norm or t-conorm on a closed subinterval: by
+    :func:`validate_partial`, or by the uninorm search on the interval's
+    lattice (``search.enumerate_partial_binops``)."""
 
     lattice: BoundedLattice
     domain: IntervalSpec
@@ -415,12 +417,12 @@ _CLASS_REGIONS = (
 
 
 def _class_regions(lat: BoundedLattice, e: str) -> tuple:
-    """The class regions as position tuples in declared order, memoised
-    per lattice and e."""
+    """The class regions as id tuples in declared order, memoised per
+    lattice and e."""
 
     def make():
         labels = case_partition(lat, e, True).labels
-        return tuple(tuple(j for j, r in enumerate(labels) if r in region) for region in _CLASS_REGIONS)
+        return tuple(tuple(x for x, r in zip(lat.elements, labels) if r in region) for region in _CLASS_REGIONS)
 
     return lat.derived(("classify", e), make)
 
@@ -430,23 +432,21 @@ def classify(candidate: FullBinOpTable) -> ClassMembership:
 
     A :class:`Uninorm` is already certified.  Any other table is checked
     by validate_uninorm first, and NotAUninorm is raised when it fails.
-    Each flag lists the cells (x, y, t(x, y)) that break its forced value,
-    t(x, y) = y or t(x, y) = x, row-major over the declared element order.
+    The certified table is then read by id, on the cells of each flag's
+    regions alone.  Each flag lists the cells (x, y, t(x, y)) that break
+    its forced value, t(x, y) = y or t(x, y) = x, row-major over the
+    declared element order.
     """
     if not isinstance(candidate, Uninorm) and not validate_uninorm(candidate).ok:
         raise NotAUninorm("candidate fails the uninorm axioms")
-    lat = candidate.lattice
-    els = lat.elements
-    n = len(els)
-    t = _positions(lat, els, candidate.table)
+    lat, t = candidate.lattice, candidate.table
     above_half, above_open, below_half, below_open, not_upper, not_lower = _class_regions(lat, candidate.neutral)
-    top, bottom = (lat.positions[lat.top],), (lat.positions[lat.bottom],)
 
     def snd(xs, ys):
-        return tuple([(els[x], els[y], els[v]) for x in xs for y in ys if (v := t[x * n + y]) != y])
+        return tuple([(x, y, v) for x in xs for y in ys if (v := t[x, y]) != y])
 
     def fst(xs, ys):
-        return tuple([(els[x], els[y], els[v]) for x in xs for y in ys if (v := t[x * n + y]) != x])
+        return tuple([(x, y, v) for x in xs for y in ys if (v := t[x, y]) != x])
 
     # u_min_1 and u_max_0 also ask the top, or the bottom, to absorb: t(x, y) = x.
     flags = {
@@ -456,8 +456,8 @@ def classify(candidate: FullBinOpTable) -> ClassMembership:
         "u_max_star": snd(below_half, above_half),
         "u_min_r": fst(above_half, not_upper),
         "u_max_r": fst(below_half, not_lower),
-        "u_min_1": snd(above_open, not_upper) + fst(top, not_upper),
-        "u_max_0": snd(below_open, not_lower) + fst(bottom, not_lower),
+        "u_min_1": snd(above_open, not_upper) + fst((lat.top,), not_upper),
+        "u_max_0": snd(below_open, not_lower) + fst((lat.bottom,), not_lower),
     }
     return ClassMembership({name: ClassFlag(not ws, ws) for name, ws in flags.items()})
 

@@ -45,7 +45,8 @@ class BoundedLattice:
 
     Do not instantiate directly; use :func:`build_lattice`, which verifies
     the partial order, the bounds, and the existence of unique meets and
-    joins before any table is trusted.
+    joins before any table is trusted.  :meth:`dual` and
+    :meth:`interval_lattice` derive theirs from those certified tables.
     """
 
     elements: tuple[str, ...]
@@ -149,14 +150,39 @@ class BoundedLattice:
 
     def interval_lattice(self, spec: IntervalSpec) -> "BoundedLattice":
         """The closed interval ``spec`` as a bounded lattice of its own, with
-        the covers inside it (an interval is convex) and bounds ``spec.low``
-        and ``spec.high``: a t-(co)norm on it is a uninorm on this lattice."""
+        bounds ``spec.low`` and ``spec.high``: a t-(co)norm on it is a
+        uninorm on this lattice.
+
+        An interval is convex and closed under meet and join, so its covers,
+        order, meets and joins are the parent's restricted to it and
+        renumbered; like :meth:`dual`, it is derived from the certified
+        tables, not built again.  An open ``spec`` raises UnknownElement
+        for the first bound it leaves out.
+        """
 
         def make():
             dom = self.interval(spec)
-            inside = set(dom)
-            covers = tuple((lo, hi) for lo, hi in self.covers if lo in inside and hi in inside)
-            return build_lattice(dom, covers, spec.low, spec.high)
+            pos = {x: k for k, x in enumerate(dom)}
+            for bound in (spec.low, spec.high):
+                if bound not in pos:
+                    raise UnknownElement(bound)
+            # keep[k] is the parent position of element k of the interval.
+            keep = [self.positions[x] for x in dom]
+            at = {p: k for k, p in enumerate(keep)}
+            bits = [(q, 1 << k) for k, q in enumerate(keep)]
+            rows = [p * len(self) for p in keep]
+
+            def restrict(masks):
+                return tuple([sum([bit for q, bit in bits if masks[p] >> q & 1]) for p in keep])
+
+            def renumber(table):
+                return tuple([at[table[r + q]] for r in rows for q in keep])
+
+            covers = tuple((lo, hi) for lo, hi in self.covers if lo in pos and hi in pos)
+            return BoundedLattice(
+                dom, covers, spec.low, spec.high, pos,
+                restrict(self.up), restrict(self.down), renumber(self.meets), renumber(self.joins),
+            )
 
         return self.derived(("interval lattice", spec), make)
 

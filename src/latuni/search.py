@@ -8,7 +8,9 @@ validator before being emitted.  The table search fixes the neutral
 element, commutativity and monotonicity as it goes, and decides
 associativity row by row: when a row completes, the triples it makes
 final are checked and a failing subtree is cut.  So every complete
-table is associative, and only those are built and certified.  Pair
+table is associative, and only those are built and certified, once,
+by ``brute_force_uninorms``.  A t-(co)norm is a uninorm on its domain's
+interval lattice, so the t-(co)norm search is that search there.  Pair
 admission decides each hypothesis once, where it varies: the boundary's
 domain once per run, comparability by bitmasks over the pool, and each
 characteristic row, which reads one operator, once per pool operator.
@@ -20,14 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator
 
-from .binop import (
-    FullBinOpTable,
-    PartialBinOpTable,
-    Uninorm,
-    role_neutral,
-    validate_partial,
-    validate_uninorm,
-)
+from .binop import FullBinOpTable, PartialBinOpTable, Uninorm, role_neutral, validate_uninorm
 from .construct import (
     ConstructionSpec,
     Family,
@@ -40,7 +35,7 @@ from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, UnaryOpTable, validate_unary
 
 MAX_UNARY_LATTICE = 12
-MAX_BINOP_DOMAIN = 5
+MAX_BINOP_DOMAIN = 5  # at most MAX_UNINORM_LATTICE: the t-(co)norm search is the uninorm search
 MAX_UNINORM_LATTICE = 5
 
 
@@ -159,17 +154,15 @@ def _slot_verdicts(spec: ConstructionSpec, pool: list) -> tuple:
 
 
 def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: str) -> Iterator[PartialBinOpTable]:
-    """All certified t-norms or t-conorms on a small closed interval; a bad
-    role or an open domain raises ``validate_partial``'s ValueError first."""
+    """All t-norms or t-conorms on a small closed interval: the uninorms
+    ``brute_force_uninorms`` finds and certifies on its interval lattice,
+    neutral at a bound.  A bad role or an open domain raises
+    ``role_neutral``'s ValueError first."""
     neutral = role_neutral(role, domain)
-    dom = lat.interval(domain)
-    if len(dom) > MAX_BINOP_DOMAIN:
+    if len(lat.interval(domain)) > MAX_BINOP_DOMAIN:
         raise DomainTooLarge(f"binop enumeration capped at {MAX_BINOP_DOMAIN} elements")
-    for table in _monotone_commutative_tables(lat.interval_lattice(domain), neutral):
-        try:
-            yield validate_partial(lat, domain, role, table)
-        except AxiomViolation:
-            pass
+    for u in brute_force_uninorms(lat.interval_lattice(domain), neutral):
+        yield PartialBinOpTable(lat, domain, role, u.table)
 
 
 def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]:
@@ -193,7 +186,7 @@ def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]
     pruned on the first such triple, new with row i, that fails.  Triples
     through the neutral element hold, and after the last row every triple
     has been checked, so each leaf is associative and is built into an
-    id-keyed table and yielded.
+    id-keyed table and yielded, for ``brute_force_uninorms`` to certify.
     """
     if neutral not in lat:
         raise UnknownElement(neutral)

@@ -24,6 +24,7 @@ from latuni import (
     range_avoids,
     reference_karacal_mesiar,
     region_of,
+    strictness_check,
     structural_class_predicate,
     validate_unary,
     validate_uninorm,
@@ -339,6 +340,38 @@ def test_comparability_is_needed_for_the_characteristic_verdict():
     assert [name for name, check in report.items() if not check["ok"]] == ["monotone"]
     assert report["monotone"]["witness"] == ("x0", "x2", "1")
     pairs = [(s.op_low, s.op_inc) for s, _ in enumerate_admissible_pairs(lat, "e", Family.CLO, spec.boundary)]
+    assert pairs and (op_low, op_inc) not in pairs
+
+
+def test_comparability_is_needed_for_the_strict_characteristic_verdict():
+    """On 0 < x0 < x1 < e < h < 1, x0 < x2 < 1, a clo2-strict pair that
+    only fails comparability passes range_low, range_inc and a non-vacuous
+    boundary_strict, yet builds a table that is not monotone; pair
+    admission leaves it out."""
+    lat = build_lattice(
+        ["0", "x0", "x1", "e", "h", "x2", "1"],
+        [("0", "x0"), ("x0", "x1"), ("x1", "e"), ("e", "h"), ("h", "1"), ("x0", "x2"), ("x2", "1")],
+        "0",
+        "1",
+    )
+    op_low = validate_unary(lat, CLOSURE, {"0": "0", "x0": "x1", "x1": "x1", "e": "e", "h": "h", "x2": "1", "1": "1"})
+    op_inc = identity_operator(lat, CLOSURE)
+    spec = ConstructionSpec(Family.CLO_STRICT, lat, "e", join_tconorm(lat, "e"), op_low, op_inc)
+    hyp = check_hypotheses(spec)
+    assert [r.name for r in hyp.rows if not r.passed] == ["comparability"]
+    assert hyp.row("comparability").witnesses == ("x0", "x2")
+    upper = IntervalSpec("e", "1")
+    for op, label in ((op_low, RegionLabel.LOW_OPEN), (op_inc, RegionLabel.INC)):
+        region = [x for x in lat.elements if region_of(spec, x) == label]
+        assert region and range_avoids(op, region, upper) == (True, ())
+    assert [x for x in lat.elements if region_of(spec, x) == RegionLabel.HIGH_OPEN] == ["h"]
+    assert strictness_check(spec.boundary) == (True, ())
+    with pytest.raises(HypothesesNotChecked):
+        check_characteristic(spec)
+    report = validate_uninorm(construct(spec)).as_dict()
+    assert [name for name, check in report.items() if not check["ok"]] == ["monotone"]
+    assert report["monotone"]["witness"] == ("x0", "x2", "h")
+    pairs = [(s.op_low, s.op_inc) for s, _ in enumerate_admissible_pairs(lat, "e", Family.CLO_STRICT, spec.boundary)]
     assert pairs and (op_low, op_inc) not in pairs
 
 

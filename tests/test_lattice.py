@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from latuni import IntervalSpec, build_lattice
+from latuni import IntervalSpec, build_lattice, lattice
 from latuni.errors import (
     BoundsNotComparable,
     InvalidArgument,
@@ -12,7 +12,7 @@ from latuni.errors import (
     NotBounded,
     UnknownElement,
 )
-from latuni.fixtures import chain, diamond
+from latuni.fixtures import SMALL_LATTICES, chain, diamond, l1, l2, l3
 
 
 def test_build_diamond():
@@ -221,6 +221,32 @@ def test_interval_lattice_is_the_closed_interval(fx_l1, fx_l2, fx_l3, small_latt
                 assert sub.leq(x, y) == lat.leq(x, y), (low, high, x, y)
             assert lat.interval_lattice(IntervalSpec(low, high)) is sub
         assert lat.interval_lattice(IntervalSpec(lat.bottom, lat.top)) == lat
+
+
+def test_interval_lattice_is_derived_as_build_lattice_would_build_it(monkeypatch):
+    """The interval lattice, restricted from the parent's certified tables
+    without a build_lattice call, equals build_lattice of the same interval
+    field by field; an open interval raises UnknownElement naming the
+    first bound it leaves out.  The lattices are fresh, so no interval
+    lattice is memoised yet."""
+    lattices = [fx().lattice for fx in (l1, l2, l3)] + [make() for make in SMALL_LATTICES.values()]
+    derived = {}
+    monkeypatch.setattr(lattice, "build_lattice", None)
+    for lat in lattices:
+        for low, high in itertools.product(lat.elements, repeat=2):
+            if lat.leq(low, high):
+                derived[lat, low, high] = lat.interval_lattice(IntervalSpec(low, high))
+                for low_open, high_open in ((True, False), (False, True), (True, True)):
+                    with pytest.raises(UnknownElement) as err:
+                        lat.interval_lattice(IntervalSpec(low, high, low_open, high_open))
+                    assert err.value.element == (low if low_open else high)
+    monkeypatch.undo()
+    fields = ("elements", "covers", "bottom", "top", "positions", "up", "down", "meets", "joins")
+    for (lat, low, high), sub in derived.items():
+        inside = lat.interval(IntervalSpec(low, high))
+        built = build_lattice(inside, [(a, b) for a, b in lat.covers if a in inside and b in inside], low, high)
+        for name in fields:
+            assert getattr(sub, name) == getattr(built, name), (low, high, name)
 
 
 @given(data=st.data())

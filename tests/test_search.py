@@ -45,7 +45,7 @@ from latuni.search import (
     enumerate_unary,
 )
 from naive import naive_lattice, naive_uninorm_report, naive_validate_partial
-from reference_tables import L1_TABLE
+from reference_tables import L1_TABLE, L2_TABLE
 from search_digest import search_digest
 
 
@@ -444,8 +444,10 @@ def test_brute_force_uninorms_match_filtering_every_commutative_table(name):
 
 
 def test_searches_certify_only_the_tables_they_yield(monkeypatch):
-    """The table search rejects the non-associative leaves itself, so each
-    validator call certifies a table that is then yielded."""
+    """The table search rejects the non-associative leaves itself, and a
+    t-(co)norm is a uninorm on its interval lattice, so each
+    validate_uninorm call certifies a uninorm or a t-(co)norm that is then
+    yielded, and validate_partial is never called."""
     calls = {"uninorm": 0, "partial": 0}
 
     def counting(name, validator):
@@ -455,7 +457,7 @@ def test_searches_certify_only_the_tables_they_yield(monkeypatch):
         return counted
 
     monkeypatch.setattr(search, "validate_uninorm", counting("uninorm", search.validate_uninorm))
-    monkeypatch.setattr(search, "validate_partial", counting("partial", search.validate_partial))
+    monkeypatch.setattr(binop, "validate_partial", counting("partial", binop.validate_partial))
     uninorms = partials = 0
     for make in SMALL_LATTICES.values():
         lat = make()
@@ -467,8 +469,8 @@ def test_searches_certify_only_the_tables_they_yield(monkeypatch):
                 continue
             for role in (TNORM, TCONORM):
                 partials += len(list(enumerate_partial_binops(lat, domain, role)))
-    assert uninorms and calls["uninorm"] == uninorms
-    assert partials and calls["partial"] == partials
+    assert uninorms and partials and calls["uninorm"] == uninorms + partials
+    assert calls["partial"] == 0 and not hasattr(search, "validate_partial")
 
 
 def test_table_searches_ask_the_order_nothing(monkeypatch):
@@ -532,6 +534,28 @@ def test_classify_certifies_each_uninorm_once(monkeypatch, fx_l1):
     with pytest.raises(NotAUninorm):
         classify(FullBinOpTable(fx_l1.lattice, broken, neutral="e"))
     assert len(calls) == 1
+
+
+def test_classify_reads_a_certified_table_by_id(monkeypatch, fx_l1, fx_l2):
+    """classify reads a search Uninorm by id, with no _positions call, and
+    a plain table with only the one validate_uninorm makes."""
+    tables = [FullBinOpTable(fx_l1.lattice, dict(L1_TABLE), "e"), FullBinOpTable(fx_l2.lattice, dict(L2_TABLE), "e")]
+    for make in SMALL_LATTICES.values():
+        lat = make()
+        for e in lat.elements:
+            tables += brute_force_uninorms(lat, e)
+    calls = []
+    positions = binop._positions
+
+    def counted(*args):
+        calls.append(args)
+        return positions(*args)
+
+    monkeypatch.setattr(binop, "_positions", counted)
+    for u in tables:
+        calls.clear()
+        classify(u)
+        assert len(calls) == (0 if isinstance(u, Uninorm) else 1)
 
 
 def test_searches_match_pinned_digest():
