@@ -1,13 +1,13 @@
 """Brute-force enumeration oracles.
 
-Everything here is filtered generation with early pruning: candidate maps
-are produced depth-first in lexicographic order over the declared element
-order, partial assignments are pruned against cheap necessary conditions,
-and every operator or table that survives is certified by the real
-validator before being emitted.  The table search fixes the neutral
-element, commutativity and monotonicity as it goes, and decides
-associativity row by row: when a row completes, the triples it makes
-final are checked and a failing subtree is cut.  So every complete
+Candidate maps are produced depth-first in lexicographic order over the
+declared element order, and each search decides its axioms as it goes,
+so every leaf is certified once, by the real validator, before it is
+emitted.  The operator search decides CL1-CL3 on the partial map, so
+each leaf is an operator.  The table search fixes the neutral element,
+commutativity and monotonicity as it goes, and decides associativity
+row by row: when a row completes, the triples it makes final are
+checked and a failing subtree is cut.  So every complete
 table is associative, and only those are built and certified, once,
 by ``brute_force_uninorms``.  A t-(co)norm is a uninorm on its domain's
 interval lattice, so the t-(co)norm search is that search there.  Pair
@@ -30,7 +30,7 @@ from .construct import (
     check_hypotheses,
     comparability_region,
 )
-from .errors import AxiomViolation, DomainTooLarge, LatticeTooLarge, UnknownElement
+from .errors import DomainTooLarge, LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
 from .unary import CLOSURE, UnaryOpTable, validate_unary
 
@@ -43,7 +43,9 @@ def enumerate_unary(lat: BoundedLattice, kind: str) -> Iterator[UnaryOpTable]:
     """All certified closure or interior operators of ``lat``, by ``kind``.
 
     Deterministic lexicographic order over the declared element order;
-    the identity map is always among the results.
+    the identity map is always among the results.  The search decides
+    each axiom at the node that assigns the last element it reads, so
+    every leaf is an operator, certified once by ``validate_unary``.
     """
     if len(lat) > MAX_UNARY_LATTICE:
         raise LatticeTooLarge(f"unary enumeration capped at {MAX_UNARY_LATTICE} elements")
@@ -55,21 +57,21 @@ def enumerate_unary(lat: BoundedLattice, kind: str) -> Iterator[UnaryOpTable]:
     up, joins = order.up, order.joins
     n = len(els)
     candidates = [[j for j in range(n) if up[i] >> j & 1] for i in range(n)]
+    # Join preservation is decided for each pair j < k at the node that
+    # assigns the last of j, k and z = j v k.  For comparable j and k, z is
+    # one of them, so this decides monotonicity too.
+    pairs = [[] for _ in range(n)]
+    for k in range(n):
+        for j in range(k):
+            z = joins[j * n + k]
+            pairs[max(k, z)].append((j, k, z))
 
     def consistent(assign, i):
-        v = assign[i]
-        for j in range(i):
-            w = assign[j]
-            # Monotonicity against everything already assigned.
-            if up[i] >> j & 1 and not up[v] >> w & 1:
-                return False
-            if up[j] >> i & 1 and not up[w] >> v & 1:
-                return False
-            # Join preservation when the join is assigned.
-            z = joins[i * n + j]
-            if z <= i and assign[z] != joins[v * n + w]:
+        for j, k, z in pairs[i]:
+            if assign[z] != joins[assign[j] * n + assign[k]]:
                 return False
         # Partial idempotence: the image must be fixed pointwise.
+        v = assign[i]
         if v <= i and assign[v] != v:
             return False
         if v != i and i in assign:
@@ -78,10 +80,7 @@ def enumerate_unary(lat: BoundedLattice, kind: str) -> Iterator[UnaryOpTable]:
 
     def rec(i, assign):
         if i == n:
-            try:
-                yield validate_unary(lat, kind, {x: els[v] for x, v in zip(els, assign)})
-            except AxiomViolation:
-                pass
+            yield validate_unary(lat, kind, {x: els[v] for x, v in zip(els, assign)})
             return
         for v in candidates[i]:
             assign.append(v)

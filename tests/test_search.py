@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,7 @@ from latuni.search import (
 from naive import naive_lattice, naive_uninorm_report, naive_validate_partial
 from reference_tables import L1_TABLE, L2_TABLE
 from search_digest import search_digest
+from test_json_writer import chain_product
 
 
 def all_unary_maps(lat, kind):
@@ -78,13 +81,27 @@ def all_unary_maps(lat, kind):
 
 # -- unary enumeration -------------------------------------------------------
 
-ORACLE_CASES = [(diamond, 7), (m3, 12), (n5, 13)]
+def capped_diamond():
+    """The diamond 0 < x0, x1 < x2 under a new top 1: the smallest lattice
+    where a closure search that checks f(x0 v x1) = f(x0) v f(x1) only at
+    the node assigning x1 would let through the map fixing 0, x0 and x1 and
+    sending x2 and 1 to 1."""
+    return build_lattice(
+        ["0", "x0", "x1", "x2", "1"],
+        [("0", "x0"), ("0", "x1"), ("x0", "x2"), ("x1", "x2"), ("x2", "1")],
+        "0",
+        "1",
+    )
+
+
+# Each lattice with its closure and interior operator counts.
+ORACLE_CASES = [(diamond, 7, 7), (m3, 12, 12), (n5, 13, 13), (capped_diamond, 13, 14)]
 
 
 @pytest.mark.parametrize(
     "kind,factory,count",
-    [pytest.param(CLOSURE, f, c, id=f"{f.__name__}-{c}") for f, c in ORACLE_CASES]
-    + [pytest.param(INTERIOR, f, c, id=f"interior-{f.__name__}-{c}") for f, c in ORACLE_CASES],
+    [pytest.param(CLOSURE, f, c, id=f"{f.__name__}-{c}") for f, c, _ in ORACLE_CASES]
+    + [pytest.param(INTERIOR, f, c, id=f"interior-{f.__name__}-{c}") for f, _, c in ORACLE_CASES],
 )
 def test_closure_counts_match_all_maps_oracle(kind, factory, count):
     lat = factory()
@@ -126,6 +143,47 @@ def test_interior_enumeration_duals_closure_enumeration():
 def test_unary_guard():
     with pytest.raises(LatticeTooLarge):
         next(iter(enumerate_unary(chain(13), CLOSURE)))
+
+
+def _unary_search_lattices():
+    """The small lattices, l1-l3 and the capped diamond, by name."""
+    lattices = {name: make() for name, make in sorted(SMALL_LATTICES.items())}
+    lattices.update((name, make().lattice) for name, make in sorted(FIXTURES.items()))
+    lattices["capped_diamond"] = capped_diamond()
+    return lattices
+
+
+def test_unary_search_certifies_each_leaf_once(monkeypatch):
+    """The operator search decides the closure axioms as it goes, so every
+    leaf is an operator: validate_unary is called once per yielded operator."""
+    calls = []
+    validate_unary = search.validate_unary
+
+    def counted(*args):
+        calls.append(args)
+        return validate_unary(*args)
+
+    monkeypatch.setattr(search, "validate_unary", counted)
+    for name, lat in _unary_search_lattices().items():
+        for kind in (CLOSURE, INTERIOR):
+            calls.clear()
+            assert len(list(enumerate_unary(lat, kind))) == len(calls), (name, kind)
+
+
+def test_unary_search_matches_pinned_digest():
+    """One sha256 over every operator enumerate_unary yields, in order, of
+    both kinds, on the lattices above and the 3x4 and 2x6 chain products:
+    a prune that cuts only subtrees without an operator keeps it."""
+    lattices = _unary_search_lattices()
+    lattices.update(chain3x4=chain_product(3, 4), chain2x6=chain_product(2, 6))
+    records = [
+        [name, kind, list(op.image)]
+        for name, lat in lattices.items()
+        for kind in (CLOSURE, INTERIOR)
+        for op in enumerate_unary(lat, kind)
+    ]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (digest, len(records)) == ("fa0a0af21b4bc7ab2fe04536b137d61316999d93850d9788ce7aa50c463b7b1a", 2740)
 
 
 # -- pair sweeps -------------------------------------------------------------
@@ -564,17 +622,9 @@ def test_searches_match_pinned_digest():
     assert search_digest() == ("8bbd20bca551624a3def962a295ff9c11270053c8998a2dc5dd3697653ef2b09", 1448)
 
 
-def _chain_product_2x3():
-    name = "p{}_{}".format
-    elements = [name(i, j) for i in range(2) for j in range(3)]
-    covers = [(name(0, j), name(1, j)) for j in range(3)]
-    covers += [(name(i, j), name(i, j + 1)) for i in range(2) for j in range(2)]
-    return build_lattice(elements, covers, name(0, 0), name(1, 2))
-
-
 @pytest.mark.parametrize(
     "make, counts",
-    [(lambda: chain(6), [68, 51, 51, 68]), (_chain_product_2x3, [48, 123, 123, 48])],
+    [(lambda: chain(6), [68, 51, 51, 68]), (lambda: chain_product(2, 3), [48, 123, 123, 48])],
     ids=["chain6", "chain2x3"],
 )
 def test_table_search_past_the_uninorm_cap(make, counts):
