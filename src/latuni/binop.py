@@ -8,6 +8,12 @@ the interval's own lattice, with its neutral element at a bound, so
 :func:`validate_partial` certifies a partial table by running
 :func:`validate_uninorm` there.  All scans run row-major over declared
 element order so the first witness is reproducible.
+
+:func:`validate_uninorm` reads a table on positions as rows and columns.
+On a lattice of at most 256 elements each row is ``bytes``: the
+associativity scan composes two rows with one ``bytes.translate`` and
+compares rows as one ``memcmp``.  Larger lattices keep tuple rows, which
+``operator.itemgetter`` composes.
 """
 
 from __future__ import annotations
@@ -224,9 +230,10 @@ def meet_tnorm(lat: BoundedLattice, high: str) -> PartialBinOpTable:
 def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
     """Exhaustively check the four uninorm axioms; failures are data.
 
-    The table is read once into lattice positions; every scan then runs
-    row-major over declared element order, so each witness is the first
-    violation in that order.
+    The table is read once into lattice positions, as bytes rows when
+    every position fits in a byte (at most 256 elements) and as tuple rows
+    otherwise; every scan then runs row-major over declared element order,
+    so each witness is the first violation in that order.
     """
     lat = candidate.lattice
     els = lat.elements
@@ -259,19 +266,20 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
 
 # The axiom scans of validate_uninorm.  They read a table on positions
 # 0..m-1 as its rows (rows[x][y] = t(x, y)) and columns (cols[y][x] =
-# t(x, y)), both tuples, and return the first witness, as positions, or
-# None.
+# t(x, y)), both bytes for m <= 256 and tuples past that, and return the
+# first witness, as positions, or None.
 
 def _rows_and_columns(t, m):
-    t = tuple(t)
+    t = bytes(t) if m <= 256 else tuple(t)
     return [t[i * m:i * m + m] for i in range(m)], [t[j::m] for j in range(m)]
 
 
 def _neutral_witness(rows, cols, e):
-    everything = tuple(range(len(rows)))
-    if rows[e] == everything and cols[e] == everything:
+    # The identity row, of the rows' own type: bytes(range(m)) or a tuple.
+    identity = type(rows[e])(range(len(rows)))
+    if rows[e] == identity and cols[e] == identity:
         return None
-    return (next(x for x in everything if rows[e][x] != x or cols[e][x] != x),)
+    return (next(x for x in range(len(rows)) if rows[e][x] != x or cols[e][x] != x),)
 
 
 def _commutative_witness(rows, cols):
@@ -282,11 +290,20 @@ def _commutative_witness(rows, cols):
 
 
 def _associative_witness(rows):
-    # t(x, t(y, z)) over z is row x read at the entries of row y, one call
-    # of row y's itemgetter; t(t(x, y), z) is row t(x, y).  An itemgetter
-    # of one index returns a bare value, not a tuple, so a one-element
-    # table is decided here: its one cell holds position 0, associatively.
-    if len(rows) == 1:
+    # t(x, t(y, z)) over z is row x read at the entries of row y, and
+    # t(t(x, y), z) is row t(x, y).  On bytes rows, row x padded to 256
+    # bytes is a translation table, so the read is one C call of row y's
+    # translate and the comparison one memcmp; the pad is never read, as
+    # every entry is below m.  Past 256 elements, row y's itemgetter reads
+    # the tuple row x.
+    if isinstance(rows[0], bytes):
+        pad = bytes(256 - len(rows))
+        for x, rx in enumerate(rows):
+            table = rx + pad
+            for y, ry in enumerate(rows):
+                left = ry.translate(table)
+                if left != rows[rx[y]]:
+                    return x, y, _first_difference(left, rows[rx[y]])
         return None
     through = [itemgetter(*ry) for ry in rows]
     for x, rx in enumerate(rows):

@@ -168,6 +168,29 @@ def test_meet_is_a_uninorm_with_top_neutral(fx_l1):
     assert report.ok
 
 
+def test_validate_uninorm_past_256_elements_reports_as_below():
+    """Up to 256 elements the scans read bytes rows, past that tuple rows.
+    The max table on chain(257), with c0 neutral, is a uninorm; each
+    one-cell corruption among the low elements fails with the report it
+    has on chain(256), as every first witness lies in the block the two
+    chains share.  Between them the corruptions break all four axioms."""
+    big, small = chain(257), chain(256)
+
+    def max_table(lat):
+        els = lat.elements
+        return {(x, y): els[max(i, j)] for i, x in enumerate(els) for j, y in enumerate(els)}
+
+    assert validate_uninorm(FullBinOpTable(big, max_table(big), neutral="c0")).ok
+    corruptions = ((("c1", "c2"), "c0"), (("c3", "c1"), "c5"), (("c2", "c2"), "c1"), (("c0", "c4"), "c3"))
+    for cell, value in corruptions:
+        reports = [
+            validate_uninorm(FullBinOpTable(lat, {**max_table(lat), cell: value}, neutral="c0")).as_dict()
+            for lat in (big, small)
+        ]
+        assert not all(check["ok"] for check in reports[0].values())
+        assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_restriction_to_the_boundary_domain_is_the_boundary(name, family):

@@ -11,6 +11,7 @@ t-conorms and meet t-norms, and on drawn inputs.
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -269,6 +270,22 @@ def test_validate_uninorm_matches_naive_on_corrupted_chain_product_table():
         for other in lat.elements:
             if other != value:
                 _assert_same_report(FullBinOpTable(lat, {**km, cell: other}, neutral=e), leq)
+
+
+def test_validate_uninorm_matches_naive_on_sampled_corruptions_of_the_6x7_table():
+    """The 42-element Karacal-Mesiar table on the 6x7 chain product and a
+    seeded sample of its one-cell corruptions, ten in its first 21 rows
+    and ten past them."""
+    lat, e, (leq, _, _) = _site("p6x7")
+    els = lat.elements
+    km = reference_karacal_mesiar(lat, e, join_tconorm(lat, e), "s").table
+    _assert_same_report(FullBinOpTable(lat, km, neutral=e), leq)
+    rng = random.Random(0)
+    for rows in (els[:21], els[21:]):
+        for _ in range(10):
+            cell = rng.choice(rows), rng.choice(els)
+            other = rng.choice([v for v in els if v != km[cell]])
+            _assert_same_report(FullBinOpTable(lat, {**km, cell: other}, neutral=e), leq)
 
 
 @pytest.mark.parametrize("name", ["p4x5", "p5x6", "p6x7"])
