@@ -18,7 +18,7 @@ compares rows as one ``memcmp``.  Larger lattices keep tuple rows, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 from .errors import (
@@ -128,15 +128,7 @@ class AxiomReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            name: {"ok": check.ok, "witness": check.witness}
-            for name, check in (
-                ("commutative", self.commutative),
-                ("associative", self.associative),
-                ("monotone", self.monotone),
-                ("neutral", self.neutral),
-            )
-        }
+        return asdict(self)
 
 
 @dataclass

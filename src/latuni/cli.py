@@ -27,9 +27,7 @@ from .construct import (
     check_hypotheses,
     construct,
 )
-from .errors import (
-    DomainTooLarge, HypothesesNotChecked, InvalidArgument, LatticeTooLarge, LatuniError, ParseError,
-)
+from .errors import HypothesesNotChecked, InvalidArgument, LatticeTooLarge, LatuniError, ParseError
 from .fixtures import FIXTURES
 from .search import (
     enumerate_admissible_pairs,
@@ -132,7 +130,7 @@ def cmd_classify(args) -> int:
 def cmd_search_closures(args) -> int:
     lat = documents.parse_lattice(_read(args.lattice))
     for op in enumerate_unary(lat, args.kind):
-        print(json.dumps({"kind": op.kind, "map": {x: op.mapping[x] for x in lat.elements}}))
+        print(json.dumps({"kind": op.kind, "map": op.mapping}))
     return 0
 
 
@@ -145,8 +143,8 @@ def cmd_search_pairs(args) -> int:
         print(
             json.dumps(
                 {
-                    "op_low": {x: spec.op_low.mapping[x] for x in lat.elements},
-                    "op_inc": {x: spec.op_inc.mapping[x] for x in lat.elements},
+                    "op_low": spec.op_low.mapping,
+                    "op_inc": spec.op_inc.mapping,
                     "characteristic_pass": tag,
                 }
             )
@@ -274,7 +272,7 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, InvalidArgument, DomainTooLarge, LatticeTooLarge) as exc:
+    except (ParseError, InvalidArgument, LatticeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatuniError as exc:

@@ -9,9 +9,9 @@ Four families:
 
 The interior families are the closure families on the dual lattice.  An
 ``int2``/``int2-strict`` spec is checked, partitioned and built by the
-closure logic run in the order ``lattice.dual()`` (:func:`_order`) over its
-own operators and boundary; reports are written in the spec's own terms,
-and region labels are mirrored back.
+closure logic run in the order ``lattice.dual()`` (``unary.order_of``)
+over its own operators and boundary; reports are written in the spec's
+own terms, and region labels are mirrored back.
 
 A closure family splits the order around e into ]0,e[, I_e and [e,1], the
 strict one also splitting off the top.  Every check, the cell plan,
@@ -32,7 +32,7 @@ positions from the start.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from .binop import (
@@ -44,7 +44,7 @@ from .binop import (
 )
 from .errors import HypothesesNotChecked, InvalidArgument, MismatchedLattice
 from .lattice import BoundedLattice, IntervalSpec, RegionLabel, case_partition
-from .unary import CLOSURE, INTERIOR, UnaryOpTable, pointwise_leq_on, range_avoids
+from .unary import CLOSURE, INTERIOR, UnaryOpTable, order_of, pointwise_leq_on, range_avoids
 
 
 class Family(str, enum.Enum):
@@ -104,11 +104,6 @@ class ConstructionSpec:
             raise MismatchedLattice("boundary operation lattice differs from the spec lattice")
 
 
-def _order(spec: ConstructionSpec) -> BoundedLattice:
-    """The order the closure logic decides ``spec`` in: its lattice, or the dual."""
-    return spec.lattice if spec.family.closure_based else spec.lattice.dual()
-
-
 def _boundary_interval(spec: ConstructionSpec) -> IntervalSpec:
     """[e,1] of the order, in the spec's lattice: the boundary's domain, and what operators avoid."""
     lat, e = spec.lattice, spec.e
@@ -140,20 +135,8 @@ class ConditionReport:
         raise KeyError(name)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "rows": [
-                {
-                    "name": r.name,
-                    "statement": r.statement,
-                    "passed": r.passed,
-                    "witnesses": list(r.witnesses),
-                    "vacuous": r.vacuous,
-                }
-                for r in self.rows
-            ],
-            "notes": self.notes,
-        }
+        rows = [{**asdict(r), "witnesses": list(r.witnesses)} for r in self.rows]
+        return {"passed": self.passed, "rows": rows, "notes": self.notes}
 
 
 # What each row states, in the terms of the closure (True) or the interior
@@ -186,7 +169,7 @@ def _row(spec: ConstructionSpec, name: str, passed: bool, witnesses=(), vacuous=
 def comparability_region(spec: ConstructionSpec) -> tuple:
     """Where op_low must lie below op_inc in the spec's order: the bottom,
     ]0,e[ and I_e of the order's partition, everything outside its [e,1]."""
-    part = case_partition(_order(spec), spec.e, spec.family.strict).members
+    part = case_partition(order_of(spec.lattice, spec.family.kind), spec.e, spec.family.strict).members
     return part[RegionLabel.ZERO] + part[RegionLabel.LOW_OPEN] + part[RegionLabel.INC]
 
 
@@ -225,7 +208,7 @@ def check_characteristic(spec: ConstructionSpec) -> ConditionReport:
     if not check_hypotheses(spec).passed:
         raise HypothesesNotChecked("construction hypotheses do not hold")
     strict = spec.family.strict
-    part = case_partition(_order(spec), spec.e, strict).members
+    part = case_partition(order_of(spec.lattice, spec.family.kind), spec.e, strict).members
     forbidden = _boundary_interval(spec)
     ok_low, wit_low = range_avoids(spec.op_low, part[RegionLabel.LOW_OPEN], forbidden)
     ok_inc, wit_inc = range_avoids(spec.op_inc, part[RegionLabel.INC], forbidden)
@@ -248,7 +231,8 @@ def region_of(spec: ConstructionSpec, x) -> RegionLabel:
     An interior family's partition is the mirror of its dual closure
     family's: [0,e[ is one region, LOW_HALFOPEN, for ``int2``.
     """
-    label = case_partition(_order(spec), spec.e, spec.family.strict).labels[spec.lattice.index(x)]
+    order = order_of(spec.lattice, spec.family.kind)
+    label = case_partition(order, spec.e, spec.family.strict).labels[spec.lattice.index(x)]
     return label if spec.family.closure_based else _MIRROR[label]
 
 
@@ -316,7 +300,7 @@ def construct(spec: ConstructionSpec) -> FullBinOpTable:
     fail, the returned table fails validate_uninorm with the expected
     witnesses.
     """
-    order, e = _order(spec), spec.e
+    order, e = order_of(spec.lattice, spec.family.kind), spec.e
     els = order.elements
     n = len(els)
     base, boundary, mixed, rows = _plan(order, e, spec.family.strict)
@@ -365,7 +349,7 @@ def structural_class_predicate(spec: ConstructionSpec) -> bool:
     incomparability region.  Sufficient only, never necessary.
     """
     strict = spec.family.strict
-    part = case_partition(_order(spec), spec.e, strict).members
+    part = case_partition(order_of(spec.lattice, spec.family.kind), spec.e, strict).members
     regions = [RegionLabel.LOW_OPEN, RegionLabel.INC] if strict else [RegionLabel.LOW_OPEN]
     return all(
         spec.lattice.incomparable(x, y)

@@ -256,7 +256,7 @@ def _expand_preset(preset: str, lat: BoundedLattice) -> dict:
 def serialize_operator(op: UnaryOpTable) -> str:
     doc = {
         "kind": op.kind,
-        "map": {x: op.mapping[x] for x in op.lattice.elements},
+        "map": op.mapping,
     }
     return dumps(doc) + "\n"
 

@@ -67,10 +67,6 @@ class HypothesesNotChecked(LatuniError):
     """check_characteristic was called on a spec whose hypotheses fail."""
 
 
-class DomainTooLarge(LatuniError):
-    pass
-
-
 class LatticeTooLarge(LatuniError):
     pass
 

@@ -72,6 +72,15 @@ def chain(n: int) -> BoundedLattice:
     return build_lattice(names, covers, names[0], names[-1])
 
 
+def chain_product(a: int, b: int) -> BoundedLattice:
+    """The product of chains of a and b elements, ids ``p<i>_<j>``."""
+    name = "p{}_{}".format
+    elements = [name(i, j) for i in range(a) for j in range(b)]
+    covers = [(name(i, j), name(i + 1, j)) for i in range(a - 1) for j in range(b)]
+    covers += [(name(i, j), name(i, j + 1)) for i in range(a) for j in range(b - 1)]
+    return build_lattice(elements, covers, name(0, 0), name(a - 1, b - 1))
+
+
 def diamond() -> BoundedLattice:
     """M2: two incomparable atoms between the bounds."""
     return build_lattice(

@@ -10,11 +10,12 @@ row by row: when a row completes, the triples it makes final are
 checked and a failing subtree is cut.  So every complete
 table is associative, and only those are built and certified, once,
 by ``brute_force_uninorms``.  A t-(co)norm is a uninorm on its domain's
-interval lattice, so the t-(co)norm search is that search there.  Pair
-admission decides each hypothesis once, where it varies: the boundary's
-domain once per run, comparability by bitmasks over the pool, and each
-characteristic row, which reads one operator, once per pool operator.
-Correctness over speed; hard size guards keep runtimes sane.
+interval lattice, so the t-(co)norm search is that search there, under
+its one cap, ``MAX_UNINORM_LATTICE``.  Pair admission decides each
+hypothesis once, where it varies: the boundary's domain once per run,
+comparability by bitmasks over the pool, and each characteristic row,
+which reads one operator, once per pool operator.  Correctness over
+speed; one size cap per search keeps runtimes sane.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from .construct import (
     check_hypotheses,
     comparability_region,
 )
-from .errors import DomainTooLarge, LatticeTooLarge, UnknownElement
+from .errors import LatticeTooLarge, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
-from .unary import CLOSURE, UnaryOpTable, validate_unary
+from .unary import UnaryOpTable, order_of, validate_unary
 
 MAX_UNARY_LATTICE = 12
-MAX_BINOP_DOMAIN = 5  # at most MAX_UNINORM_LATTICE: the t-(co)norm search is the uninorm search
 MAX_UNINORM_LATTICE = 5
 
 
@@ -52,7 +52,7 @@ def enumerate_unary(lat: BoundedLattice, kind: str) -> Iterator[UnaryOpTable]:
     # The interior operators of lat are the closure operators of its dual,
     # so one closure search runs on ``order``; leaves are certified on lat.
     # The search runs on positions; ``assign[i]`` is the image of element i.
-    order = lat if kind == CLOSURE else lat.dual()
+    order = order_of(lat, kind)
     els = lat.elements
     up, joins = order.up, order.joins
     n = len(els)
@@ -118,8 +118,8 @@ def enumerate_admissible_pairs(
     if not check_hypotheses(first).passed:
         return
     as_low, as_inc = _slot_verdicts(first, pool)
-    # An interior family is decided in lat.dual(), whose up-sets are lat's down-sets.
-    up = lat.up if family.closure_based else lat.down
+    # The up-sets of the family's order: lat's down-sets for an interior family.
+    up = order_of(lat, family.kind).up
     partners = [(1 << len(pool)) - 1] * len(pool)
     for x in map(lat.index, comparability_region(first)):
         # at_least[v]: the b with v <= b(x), a union of the b with b(x) = w over w >= v.
@@ -155,11 +155,9 @@ def _slot_verdicts(spec: ConstructionSpec, pool: list) -> tuple:
 def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: str) -> Iterator[PartialBinOpTable]:
     """All t-norms or t-conorms on a small closed interval: the uninorms
     ``brute_force_uninorms`` finds and certifies on its interval lattice,
-    neutral at a bound.  A bad role or an open domain raises
-    ``role_neutral``'s ValueError first."""
+    neutral at a bound, under that search's one cap.  A bad role or an
+    open domain raises ``role_neutral``'s ValueError first."""
     neutral = role_neutral(role, domain)
-    if len(lat.interval(domain)) > MAX_BINOP_DOMAIN:
-        raise DomainTooLarge(f"binop enumeration capped at {MAX_BINOP_DOMAIN} elements")
     for u in brute_force_uninorms(lat.interval_lattice(domain), neutral):
         yield PartialBinOpTable(lat, domain, role, u.table)
 

@@ -1,22 +1,23 @@
 """Closure and interior operator tables.
 
-An operator is stored as an explicit total map and cannot exist
-uncertified: :func:`validate_unary` is the only constructor, and it checks
-the three defining axioms before returning.  Monotonicity is not checked
-apart: it follows from axiom 2, since x <= y gives f(y) = f(x v y) =
-f(x) v f(y) >= f(x).  Witnesses for a failed axiom come from the first
-violation in declared element order.
+An operator is stored as one explicit total map, on positions, and cannot
+exist uncertified: :func:`validate_unary` is the only constructor, and it
+checks the three defining axioms before returning.  Monotonicity is not
+checked apart: it follows from axiom 2, since x <= y gives f(y) =
+f(x v y) = f(x) v f(y) >= f(x).  Witnesses for a failed axiom come from
+the first violation in declared element order.
 
 Interior operators are the closure operators of the dual lattice: there is
 one axiom check, the closure one, and an interior map is checked by running
-it on ``lat.dual()`` with the axiom names mapped CL -> IN.  The search and
-the constructions likewise read an interior map in the dual order; only
-:func:`dualize_operator` re-certifies an operator on the dual lattice.
+it in the order :func:`order_of` gives, ``lat.dual()``, with the axiom names
+mapped CL -> IN.  The search and the constructions likewise read an interior
+map in that order; only :func:`dualize_operator` re-certifies an operator on
+the dual lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AxiomViolation, MismatchedLattice, UnknownElement
 from .lattice import BoundedLattice, IntervalSpec
@@ -31,15 +32,26 @@ class UnaryOpTable:
 
     lattice: BoundedLattice
     kind: str
-    mapping: dict
     # The map on positions: image[i] is the position of op(elements[i]).
-    image: tuple = field(compare=False, repr=False)
+    image: tuple
+
+    @property
+    def mapping(self) -> dict:
+        """The map on ids, in element order."""
+        els = self.lattice.elements
+        return {x: els[v] for x, v in zip(els, self.image)}
 
     def __call__(self, x) -> str:
-        return self.mapping[x]
+        lat = self.lattice
+        return lat.elements[self.image[lat.positions[x]]]
 
-    def __hash__(self):
-        return hash((self.kind, tuple(sorted(self.mapping.items()))))
+
+def order_of(lat: BoundedLattice, kind: str) -> BoundedLattice:
+    """The order an operator of ``kind`` is a closure operator of: ``lat``
+    for a closure operator, ``lat.dual()`` for an interior one."""
+    if kind not in (CLOSURE, INTERIOR):
+        raise ValueError(f"kind must be {CLOSURE!r} or {INTERIOR!r}, got {kind!r}")
+    return lat if kind == CLOSURE else lat.dual()
 
 
 def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
@@ -49,8 +61,7 @@ def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
     IN1/IN2/IN3) with witness elements.  Monotonicity follows from axiom 2
     and is not checked apart.
     """
-    if kind not in (CLOSURE, INTERIOR):
-        raise ValueError(f"kind must be {CLOSURE!r} or {INTERIOR!r}, got {kind!r}")
+    order = order_of(lat, kind)
     mapping = dict(mapping)
     for x in lat.elements:
         if x not in mapping:
@@ -64,7 +75,7 @@ def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
     # asks the order once per element; the other scans run on positions.
     # All go in declared element order, so each witness is the first
     # violation in that order.
-    order, name = (lat, "CL") if kind == CLOSURE else (lat.dual(), "IN")
+    name = "CL" if kind == CLOSURE else "IN"
     els, joins = lat.elements, order.joins
     n = len(els)
     f = tuple(lat.positions[mapping[x]] for x in els)
@@ -83,7 +94,7 @@ def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
     for x in everything:
         if f[f[x]] != f[x]:
             raise AxiomViolation(f"{name}3", (els[x],))
-    return UnaryOpTable(lat, kind, mapping, f)
+    return UnaryOpTable(lat, kind, f)
 
 
 def identity_operator(lat: BoundedLattice, kind: str) -> UnaryOpTable:

@@ -3,7 +3,8 @@
 In order: every uninorm ``brute_force_uninorms`` finds for every e of every
 ``SMALL_LATTICES`` member, then every t-norm and t-conorm
 ``enumerate_partial_binops`` finds on every interval of at most
-``MAX_BINOP_DOMAIN`` elements of those lattices and of the fixtures l1-l3.
+``MAX_UNINORM_LATTICE`` elements of those lattices and of the fixtures
+l1-l3, the one cap of the uninorm search that finds them.
 Each record names its search and holds the table's cells row-major.  A
 change to the shared table search that keeps every leaf and its order
 keeps the digest.
@@ -19,7 +20,7 @@ import json
 
 from latuni import TCONORM, TNORM, IntervalSpec
 from latuni.fixtures import FIXTURES, SMALL_LATTICES
-from latuni.search import MAX_BINOP_DOMAIN, brute_force_uninorms, enumerate_partial_binops
+from latuni.search import MAX_UNINORM_LATTICE, brute_force_uninorms, enumerate_partial_binops
 
 
 def _records():
@@ -36,7 +37,7 @@ def _records():
                     continue
                 domain = IntervalSpec(low, high)
                 dom = lat.interval(domain)
-                if len(dom) > MAX_BINOP_DOMAIN:
+                if len(dom) > MAX_UNINORM_LATTICE:
                     continue
                 for role in (TNORM, TCONORM):
                     for p in enumerate_partial_binops(lat, domain, role):

@@ -800,10 +800,15 @@ def test_cli_search_tconorms_bad_interval_is_exit_2(capsys, low, high):
 
 
 def test_cli_request_past_an_enumeration_cap_is_exit_2(tmp_path, capsys):
-    # [0,1] of l1 has 10 elements, past the binop domain cap of 5.
+    # [0,1] of l1 has 10 elements, past the uninorm search cap of 5.
     argv = ["search-tconorms", "--lattice", data_path("l1.lattice.json"), "--low", "0", "--high", "1"]
     assert cli_main(argv) == 2
     _assert_one_error_line(capsys)
+    # [c0,c5] of a 6-chain has 6 elements, one past that cap.
+    lattice = tmp_path / "chain6.json"
+    lattice.write_text(serialize_lattice(chain(6)))
+    assert cli_main(["search-tconorms", "--lattice", str(lattice), "--low", "c0", "--high", "c5"]) == 2
+    assert capsys.readouterr() == ("", "error: uninorm search capped at 5 elements\n")
     # 13 elements, past the unary lattice cap of 12.
     lattice = tmp_path / "chain13.json"
     lattice.write_text(serialize_lattice(chain(13)))

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from latuni import (
     ConstructionSpec,
     Family,
-    build_lattice,
     check_characteristic,
     check_hypotheses,
     classify,
@@ -31,17 +30,8 @@ from latuni import (
 from latuni.binop import FullBinOpTable
 from latuni.construct import reference_karacal_mesiar
 from latuni.documents import dumps
-from latuni.fixtures import FIXTURES, l2
+from latuni.fixtures import FIXTURES, chain_product, l2
 from latuni.search import enumerate_admissible_pairs
-
-
-def chain_product(a: int, b: int):
-    """The product of chains of a and b elements, ids ``p<i>_<j>``."""
-    name = "p{}_{}".format
-    elements = [name(i, j) for i in range(a) for j in range(b)]
-    covers = [(name(i, j), name(i + 1, j)) for i in range(a - 1) for j in range(b)]
-    covers += [(name(i, j), name(i, j + 1)) for i in range(a) for j in range(b - 1)]
-    return build_lattice(elements, covers, name(0, 0), name(a - 1, b - 1))
 
 
 def corrupted(table: FullBinOpTable) -> FullBinOpTable:

@@ -35,7 +35,7 @@ from latuni import (
     validate_uninorm,
 )
 from latuni.errors import LatuniError, UnknownElement
-from latuni.fixtures import FIXTURES, SMALL_LATTICES
+from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain_product
 from latuni.search import brute_force_uninorms, enumerate_admissible_pairs
 from naive import (
     naive_classify,
@@ -201,15 +201,6 @@ def test_validate_uninorm_matches_naive_on_drawn_tables(data):
 
 
 # -- operators and t-(co)norms ------------------------------------------------
-
-def chain_product(a, b):
-    """The product of chains of a and b elements, ids ``p<i>_<j>``."""
-    name = "p{}_{}".format
-    elements = [name(i, j) for i in range(a) for j in range(b)]
-    covers = [(name(i, j), name(i + 1, j)) for i in range(a - 1) for j in range(b)]
-    covers += [(name(i, j), name(i, j + 1)) for i in range(a) for j in range(b - 1)]
-    return build_lattice(elements, covers, name(0, 0), name(a - 1, b - 1))
-
 
 # (lattice, neutral element): the fixtures and three chain products.
 SITES = {

@@ -31,14 +31,13 @@ from latuni import (
 )
 from latuni.errors import (
     AxiomViolation,
-    DomainTooLarge,
     InvalidArgument,
     LatticeTooLarge,
     MismatchedLattice,
     NotAUninorm,
     UnknownElement,
 )
-from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, diamond, m3, n5
+from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, chain_product, diamond, m3, n5
 from latuni.search import (
     _monotone_commutative_tables,
     brute_force_uninorms,
@@ -49,7 +48,6 @@ from latuni.search import (
 from naive import naive_lattice, naive_uninorm_report, naive_validate_partial
 from reference_tables import L1_TABLE, L2_TABLE
 from search_digest import search_digest
-from test_json_writer import chain_product
 
 
 def all_unary_maps(lat, kind):
@@ -128,16 +126,8 @@ def test_identity_comes_first():
 
 def test_interior_enumeration_duals_closure_enumeration():
     lat = n5()
-    closures = {
-        tuple(sorted(op.mapping.items()))
-        for op in enumerate_unary(lat, CLOSURE)
-    }
-    dual = lat.dual()
-    interiors = {
-        tuple(sorted(op.mapping.items()))
-        for op in enumerate_unary(dual, INTERIOR)
-    }
-    assert closures == interiors
+    closures = {op.image for op in enumerate_unary(lat, CLOSURE)}
+    assert closures == {op.image for op in enumerate_unary(lat.dual(), INTERIOR)}
 
 
 def test_unary_guard():
@@ -461,9 +451,14 @@ def test_partial_binops_on_an_open_domain_raise_before_the_search(role, low_open
         assert str(err.value) == "partial operation domains must be closed intervals"
 
 
-def test_binop_guard():
-    with pytest.raises(DomainTooLarge):
-        next(iter(enumerate_partial_binops(chain(6), IntervalSpec("c0", "c5"), TCONORM)))
+def test_binop_guard(monkeypatch):
+    """A domain past the uninorm search's cap raises its LatticeTooLarge
+    before any table is searched."""
+    monkeypatch.setattr(search, "_monotone_commutative_tables", None)
+    for role in (TNORM, TCONORM):
+        with pytest.raises(LatticeTooLarge) as err:
+            next(iter(enumerate_partial_binops(chain(6), IntervalSpec("c0", "c5"), role)))
+        assert str(err.value) == "uninorm search capped at 5 elements"
 
 
 # -- full uninorm search -----------------------------------------------------

@@ -11,13 +11,16 @@ from latuni import (
     dualize_operator,
     identity_operator,
     join_tconorm,
+    parse_operator,
     pointwise_leq_on,
     range_avoids,
+    serialize_operator,
     validate_unary,
 )
 from latuni.errors import AxiomViolation, MismatchedLattice, UnknownElement
 from latuni.fixtures import diamond
 from latuni.search import enumerate_unary
+from latuni.unary import order_of
 
 
 def brute_closure_axiom_failure(lat, mapping):
@@ -107,16 +110,34 @@ def test_violation_carries_named_axiom_and_witness(fx_l1):
 
 def test_operators_are_equal_when_lattice_kind_and_map_are(fx_l1):
     lat, op = fx_l1.lattice, fx_l1.cl1
-    again = validate_unary(lat, CLOSURE, dict(op.mapping))
+    again = validate_unary(lat, CLOSURE, dict(reversed(op.mapping.items())))
     assert again is not op and again == op and hash(again) == hash(op)
+    # The map on ids comes back in element order and survives a document round trip.
+    assert list(again.mapping) == list(lat.elements)
+    assert parse_operator(serialize_operator(again), lat) == op
+    a = lat.index("a")
     for other in (
-        replace(op, mapping={**op.mapping, "a": "e"}),
+        replace(op, image=op.image[:a] + (lat.index("e"),) + op.image[a + 1:]),
         replace(op, kind=INTERIOR),
         replace(op, lattice=lat.dual()),
         join_tconorm(lat, "e"),
         FullBinOpTable(lat, {(x, y): lat.join(x, y) for x in lat.elements for y in lat.elements}, neutral="0"),
     ):
         assert op != other and other != op
+
+
+def test_order_of_reads_an_interior_operator_in_the_dual(fx_l1):
+    lat = fx_l1.lattice
+    assert order_of(lat, CLOSURE) is lat and order_of(lat, INTERIOR) is lat.dual()
+    message = "kind must be 'closure' or 'interior', got 'bogus'"
+    for call in (
+        lambda: order_of(lat, "bogus"),
+        lambda: validate_unary(lat, "bogus", {x: x for x in lat.elements}),
+        lambda: next(enumerate_unary(lat, "bogus")),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_pointwise_leq_on_l1(fx_l1):
