@@ -38,7 +38,8 @@ from .unary import CLOSURE, INTERIOR, identity_operator
 
 FAMILY_PRESETS = {
     # preset -> (family, op_low source, op_inc source); "arg" means taken
-    # from the matching --op flag, "identity" forces the identity map.
+    # from the matching --op flag, "identity" forces the identity map, and
+    # "low" reuses op_low.
     "clo2": (Family.CLO, "arg", "arg"),
     "int2": (Family.INT, "arg", "arg"),
     "clo2-strict": (Family.CLO_STRICT, "arg", "arg"),
@@ -47,8 +48,8 @@ FAMILY_PRESETS = {
     "clo-id": (Family.CLO, "identity", "arg"),
     "single-int": (Family.INT, "arg", "low"),
     "int-id": (Family.INT, "identity", "arg"),
-    "km-s": (Family.CLO, "identity", "identity"),
-    "km-t": (Family.INT, "identity", "identity"),
+    "km-s": (Family.CLO, "identity", "low"),
+    "km-t": (Family.INT, "identity", "low"),
 }
 
 

@@ -291,31 +291,50 @@ def parse_binop(text: str, lat: BoundedLattice, *, role: str | None = None):
     else:
         spec = None
         rows = lat.elements
-    table = {}
     raw = doc["table"]
     if not isinstance(raw, dict):
         raise ParseError("'table' must be an object of rows")
+    # Each row is read whole and accepted when every cell is a known id (a
+    # set of ids is a subset of the positions' keys only when each is a
+    # str).  A row that is missing, not an object, or has a missing,
+    # unhashable or unknown cell is scanned again cell by cell for its
+    # first error; the rows before it have none.
+    known = lat.positions.keys()
+    table = {}
     for x in rows:
-        if x not in raw:
-            raise ParseError(f"table is missing row {x!r}")
-        if not isinstance(raw[x], dict):
-            raise ParseError(f"table row {x!r} must be an object")
-        for y in rows:
-            if y not in raw[x]:
-                raise ParseError(f"table is missing cell ({x!r}, {y!r})")
-            v = raw[x][y]
-            if not isinstance(v, str):
-                raise ParseError(f"table cell ({x!r}, {y!r}) must be a string")
-            if v not in lat:
-                raise ReferenceToUnknownElement(
-                    f"table cell ({x!r}, {y!r}) = {v!r} references an unknown element"
-                )
+        try:
+            row = raw[x]
+            cells = [row[y] for y in rows]
+            whole = known >= set(cells)
+        except (KeyError, TypeError):
+            whole = False
+        if not whole:
+            _reject_row(lat, raw, x, rows)
+        for y, v in zip(rows, cells):
             table[x, y] = v
     if spec is not None:
         if role is None:
             raise ParseError("a partial binop document needs a role to certify against")
         return validate_partial(lat, spec, role, table)
     return FullBinOpTable(lat, table, neutral=neutral)
+
+
+def _reject_row(lat: BoundedLattice, raw: dict, x: str, rows) -> None:
+    """Raise the first error of table row ``x``, scanning its cells in order."""
+    if x not in raw:
+        raise ParseError(f"table is missing row {x!r}")
+    if not isinstance(raw[x], dict):
+        raise ParseError(f"table row {x!r} must be an object")
+    for y in rows:
+        if y not in raw[x]:
+            raise ParseError(f"table is missing cell ({x!r}, {y!r})")
+        v = raw[x][y]
+        if not isinstance(v, str):
+            raise ParseError(f"table cell ({x!r}, {y!r}) must be a string")
+        if v not in lat:
+            raise ReferenceToUnknownElement(
+                f"table cell ({x!r}, {y!r}) = {v!r} references an unknown element"
+            )
 
 
 def serialize_binop(op) -> str:
@@ -326,7 +345,8 @@ def serialize_binop(op) -> str:
     else:
         rows = lat.elements
         domain = None
-    doc = {"neutral": op.neutral, "domain": domain, "table": {x: {y: op(x, y) for y in rows} for x in rows}}
+    t = op.table
+    doc = {"neutral": op.neutral, "domain": domain, "table": {x: {y: t[x, y] for y in rows} for x in rows}}
     return dumps(doc) + "\n"
 
 

@@ -3,8 +3,12 @@
 Elements are symbolic string ids at the API and positions 0..n-1 inside.
 The order is the reflexive-transitive closure of the cover relation, kept
 as two bitmasks per element: bit j of ``up[i]`` is set when element i is
-below element j, and ``down[i]`` is its transpose.  Meet and join are flat
-row-major tables of positions, ``meets[i * n + j]``.  Every public method
+below element j, and ``down[i]`` is its transpose.  :func:`build_lattice`
+computes both in one topological order of the covers, each up-set the
+union of its upper covers' up-sets and each down-set that of its lower
+covers' down-sets, and falls back to a search per element only to name a
+cycle.  Meet and join are flat row-major tables of positions,
+``meets[i * n + j]``, computed for j >= i and mirrored.  Every public method
 takes and returns ids at the cost of one index lookup; the per-cell and
 per-triple scans of the other modules read the integer views directly.
 Intervals, case partitions and other tables that depend on the order
@@ -261,6 +265,27 @@ def case_partition(lat: BoundedLattice, e: str, strict: bool) -> _Partition:
     return lat.derived(("partition", e, strict), make)
 
 
+def _cycle(elements, succs) -> NotAPartialOrder:
+    """The error naming the first element on a cycle of ``succs`` and the
+    first other element on a cycle with it, both in declared order.
+
+    Only a failed topological sort calls this, so some cycle exists; a DFS
+    from each element finds it.
+    """
+    n = len(elements)
+    up = []
+    for i in range(n):
+        seen, stack = 1 << i, [i]
+        while stack:
+            for k in succs[stack.pop()]:
+                if not seen >> k & 1:
+                    seen |= 1 << k
+                    stack.append(k)
+        up.append(seen)
+    i, j = next((i, j) for i in range(n) for j in range(n) if i != j and up[i] >> j & 1 and up[j] >> i & 1)
+    return NotAPartialOrder(f"cycle through {elements[i]!r} and {elements[j]!r}")
+
+
 def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
     """Build and certify a bounded lattice from its Hasse cover pairs.
 
@@ -286,25 +311,36 @@ def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
 
     n = len(elements)
     succs = [[] for _ in elements]
+    preds = [[] for _ in elements]
     for lo, hi in covers:
-        succs[pos[lo]].append(pos[hi])
+        i, j = pos[lo], pos[hi]
+        if i != j:  # a self-cover adds nothing to a reflexive order
+            succs[i].append(j)
+            preds[j].append(i)
 
-    # Reflexive-transitive closure by DFS from each element, as bitmasks.
-    up = []
-    for i in range(n):
-        seen, stack = 1 << i, [i]
-        while stack:
-            for k in succs[stack.pop()]:
-                if not seen >> k & 1:
-                    seen |= 1 << k
-                    stack.append(k)
-        up.append(seen)
-    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
-    for i in range(n):
-        loop = up[i] & down[i] & ~(1 << i)
-        if loop:
-            j = (loop & -loop).bit_length() - 1  # the first such element
-            raise NotAPartialOrder(f"cycle through {elements[i]!r} and {elements[j]!r}")
+    # Kahn's algorithm: a topological order of the covers.  Each down-set is
+    # the union of its predecessors', in that order; each up-set the union
+    # of its successors', in the reverse order.
+    waiting = [len(p) for p in preds]
+    order = [i for i in range(n) if not waiting[i]]
+    for i in order:
+        for k in succs[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                order.append(k)
+    if len(order) < n:
+        raise _cycle(elements, succs)
+    up, down = [0] * n, [0] * n
+    for i in order:
+        mask = 1 << i
+        for k in preds[i]:
+            mask |= down[k]
+        down[i] = mask
+    for i in reversed(order):
+        mask = 1 << i
+        for k in succs[i]:
+            mask |= up[k]
+        up[i] = mask
 
     for j, x in enumerate(elements):
         if not up[pos[bottom]] >> j & 1:
@@ -315,19 +351,25 @@ def build_lattice(elements, covers, bottom, top) -> BoundedLattice:
     # In a partial order an element is fixed by its down-set (and by its
     # up-set), so the meet of i and j exists exactly when their common
     # lower bounds are the down-set of some element, and is that element.
-    by_down = {mask: i for i, mask in enumerate(down)}
-    by_up = {mask: i for i, mask in enumerate(up)}
+    # Row i is computed for j >= i; its first i entries are column i of
+    # the rows above.  A pair (i, j) with j < i fails only if (j, i) failed
+    # in an earlier row, so the first failure in row-major order, meet
+    # before join, lies at j >= i.
+    by_down = {mask: i for i, mask in enumerate(down)}.get
+    by_up = {mask: i for i, mask in enumerate(up)}.get
     meets, joins = [], []
     for i in range(n):
-        for j in range(n):
-            meet = by_down.get(down[i] & down[j])
-            if meet is None:
-                raise NotALattice((elements[i], elements[j]), "meet")
-            join = by_up.get(up[i] & up[j])
-            if join is None:
-                raise NotALattice((elements[i], elements[j]), "join")
-            meets.append(meet)
-            joins.append(join)
+        d, u = down[i], up[i]
+        meet_row = [by_down(d & other) for other in down[i:]]
+        join_row = [by_up(u & other) for other in up[i:]]
+        if None in meet_row or None in join_row:
+            j = next(j for j, (m, v) in enumerate(zip(meet_row, join_row)) if m is None or v is None)
+            kind = "meet" if meet_row[j] is None else "join"
+            raise NotALattice((elements[i], elements[i + j]), kind)
+        meets += meets[i::n]
+        meets += meet_row
+        joins += joins[i::n]
+        joins += join_row
     return BoundedLattice(
         elements, tuple(covers), bottom, top, pos, tuple(up), tuple(down), tuple(meets), tuple(joins)
     )

@@ -158,6 +158,9 @@ def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: st
     neutral at a bound, under that search's one cap.  A bad role or an
     open domain raises ``role_neutral``'s ValueError first."""
     neutral = role_neutral(role, domain)
+    # The cap is decided on the interval before its lattice is derived, so
+    # a refused domain leaves no interval lattice in ``lat``'s memo.
+    _check_uninorm_cap(len(lat.interval(domain)))
     for u in brute_force_uninorms(lat.interval_lattice(domain), neutral):
         yield PartialBinOpTable(lat, domain, role, u.table)
 
@@ -247,6 +250,11 @@ def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]
     yield from rec(0)
 
 
+def _check_uninorm_cap(size: int) -> None:
+    if size > MAX_UNINORM_LATTICE:
+        raise LatticeTooLarge(f"uninorm search capped at {MAX_UNINORM_LATTICE} elements")
+
+
 def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[Uninorm]:
     """Every commutative total table with neutral e passing all axioms.
 
@@ -256,8 +264,7 @@ def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[Uninorm]:
     Ground truth for class-inclusion and construction-coverage tests;
     guarded to tiny lattices.
     """
-    if len(lat) > MAX_UNINORM_LATTICE:
-        raise LatticeTooLarge(f"uninorm search capped at {MAX_UNINORM_LATTICE} elements")
+    _check_uninorm_cap(len(lat))
     for table in _monotone_commutative_tables(lat, e):
         if validate_uninorm(FullBinOpTable(lat, table, neutral=e)).ok:
             yield Uninorm(lat, table, e)

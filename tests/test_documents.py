@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -38,7 +39,7 @@ from latuni import cli
 from latuni.cli import cli_main
 from latuni.construct import reference_karacal_mesiar
 from latuni.errors import ParseError, ReferenceToUnknownElement
-from latuni.fixtures import chain, l2
+from latuni.fixtures import chain, chain_product, l2
 from latuni.search import enumerate_admissible_pairs, enumerate_partial_binops
 
 DATA = resources.files("latuni") / "data"
@@ -167,6 +168,71 @@ def test_binop_unknown_value(fx_l1):
     doc["table"]["j"]["a"] = "zz"
     with pytest.raises(ReferenceToUnknownElement):
         parse_binop(json.dumps(doc), fx_l1.lattice)
+
+
+def _km_s_6x7():
+    """The Karacal-Mesiar U_s table on the 6x7 chain product, e = p3_3."""
+    lat = chain_product(6, 7)
+    ident = identity_operator(lat, CLOSURE)
+    return construct(ConstructionSpec(Family.CLO, lat, "p3_3", join_tconorm(lat, "p3_3"), ident, ident))
+
+
+# Each kind of bad cell (x, y) in a table document, with the error
+# parse_binop raises for it.  The first two break the whole row x.
+BAD_CELLS = {
+    "missing row": (ParseError, "table is missing row {x!r}"),
+    "non-object row": (ParseError, "table row {x!r} must be an object"),
+    "missing cell": (ParseError, "table is missing cell ({x!r}, {y!r})"),
+    "unknown id": (ReferenceToUnknownElement, "table cell ({x!r}, {y!r}) = 'zz' references an unknown element"),
+    "number": (ParseError, "table cell ({x!r}, {y!r}) must be a string"),
+    "null": (ParseError, "table cell ({x!r}, {y!r}) must be a string"),
+    "array": (ParseError, "table cell ({x!r}, {y!r}) must be a string"),
+    "object": (ParseError, "table cell ({x!r}, {y!r}) must be a string"),
+}
+ROW_KINDS = ("missing row", "non-object row")
+
+
+def _break_cell(table: dict, kind: str, x: str, y: str) -> None:
+    if kind == "missing row":
+        del table[x]
+    elif kind == "non-object row":
+        table[x] = list(table[x].values())
+    elif kind == "missing cell":
+        del table[x][y]
+    else:
+        table[x][y] = {"unknown id": "zz", "number": 3, "null": None, "array": [y], "object": {y: y}}[kind]
+
+
+@pytest.mark.parametrize("name", ["l1", "6x7"])
+def test_parse_binop_reports_the_first_bad_cell_in_row_major_order(fx_l1, name):
+    """Two bad cells of any kinds: the error is the one of the cell first in
+    row-major order, with its type and exact message."""
+    table = construct(fx_l1.spec()) if name == "l1" else _km_s_6x7()
+    lat = table.lattice
+    els = lat.elements
+    n = len(els)
+    good = json.loads(serialize_binop(table))
+    # Pairs of cells, the first before the second in row-major order: in
+    # different rows, with the second's column before or after the first's,
+    # and in one row.
+    placements = [((1, n - 1), (2, 0)), ((0, 0), (n - 1, n - 1)), ((2, 1), (2, 3))]
+    for first, second in itertools.product(BAD_CELLS, repeat=2):
+        for (i, j), (k, m) in placements:
+            if i == k and (first in ROW_KINDS or second in ROW_KINDS):
+                continue
+            doc = json.loads(json.dumps(good))
+            _break_cell(doc["table"], second, els[k], els[m])
+            _break_cell(doc["table"], first, els[i], els[j])
+            kind, message = BAD_CELLS[first]
+            with pytest.raises(ParseError) as err:
+                parse_binop(json.dumps(doc), lat)
+            assert type(err.value) is kind
+            assert str(err.value) == message.format(x=els[i], y=els[j]), (first, second, (i, j), (k, m))
+
+
+def test_km_s_table_on_the_6x7_product_round_trips():
+    table = _km_s_6x7()
+    assert parse_binop(serialize_binop(table), table.lattice) == table
 
 
 # -- rendering and export ----------------------------------------------------

@@ -67,6 +67,17 @@ def test_kernel_matches_naive_lattice_on_bundled_lattices():
             _assert_same_lattice(order, _naive(order))
 
 
+def test_kernel_matches_naive_lattice_on_chain_products():
+    """Products of chains up to 4x4 and 4x5, each also built in its dual
+    from the reversed covers."""
+    shapes = [(a, b) for a in range(1, 5) for b in range(1, 5)] + [(4, 5)]
+    for a, b in shapes:
+        lat = chain_product(a, b)
+        dual_covers = [(hi, lo) for lo, hi in lat.covers]
+        for doc in ((lat.elements, lat.covers, lat.bottom, lat.top), (lat.elements, dual_covers, lat.top, lat.bottom)):
+            _assert_same_lattice(build_lattice(*doc), naive_lattice(*doc))
+
+
 def _assert_same_classes(u: FullBinOpTable, leq):
     """classify's flags and whole witness lists, in order, against the naive rule."""
     lat = u.lattice
@@ -137,6 +148,20 @@ def cover_lists(draw):
 @example((["0", "0", "1"], [("0", "z")], "0", "1"))
 # No elements: the bottom is reported as unknown, not a fabricated pair.
 @example(([], [], "0", "1"))
+# A self-cover is no cycle: a one-element lattice, and a cycle beside a
+# self-cover is named by its own elements.
+@example((["v0"], [("v0", "v0")], "v0", "v0"))
+@example((["v0", "v1", "v2"], [("v0", "v0"), ("v0", "v1"), ("v1", "v2"), ("v2", "v1")], "v0", "v2"))
+# A repeated cover is one cover.
+@example((["0", "a", "1"], [("0", "a"), ("a", "1"), ("0", "a")], "0", "1"))
+# a and b have neither a unique meet nor a unique join: the meet is named.
+@example((
+    ["0", "a", "b", "p", "q", "r", "s", "1"],
+    [("0", "p"), ("0", "q"), ("p", "a"), ("p", "b"), ("q", "a"), ("q", "b"),
+     ("a", "r"), ("a", "s"), ("b", "r"), ("b", "s"), ("r", "1"), ("s", "1")],
+    "0",
+    "1",
+))
 def test_kernel_matches_naive_lattice_on_drawn_covers(doc):
     try:
         naive = naive_lattice(*doc)

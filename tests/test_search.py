@@ -461,6 +461,15 @@ def test_binop_guard(monkeypatch):
         assert str(err.value) == "uninorm search capped at 5 elements"
 
 
+def test_a_domain_past_the_cap_leaves_no_interval_lattice():
+    """The cap is decided on the interval before its lattice is derived, so
+    a refused search memoises no interval lattice on the parent."""
+    for lat, spec in ((FIXTURES["l2"]().lattice, IntervalSpec("0", "1")), (chain(6), IntervalSpec("c0", "c5"))):
+        with pytest.raises(LatticeTooLarge):
+            next(iter(enumerate_partial_binops(lat, spec, TCONORM)))
+        assert ("interval lattice", spec) not in lat._memo
+
+
 # -- full uninorm search -----------------------------------------------------
 
 def test_brute_force_uninorms_are_valid_and_deterministic():
