@@ -29,7 +29,7 @@ from .errors import (
     OutOfDomainOutput,
     UnknownElement,
 )
-from .lattice import BoundedLattice, IntervalSpec, RegionLabel, case_partition
+from .lattice import BoundedLattice, IntervalSpec, RegionLabel, case_partition, first_difference, packed_positions
 
 TNORM = "tnorm"
 TCONORM = "tconorm"
@@ -262,7 +262,7 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
 # first witness, as positions, or None.
 
 def _rows_and_columns(t, m):
-    t = bytes(t) if m <= 256 else tuple(t)
+    t = packed_positions(t, m)
     return [t[i * m:i * m + m] for i in range(m)], [t[j::m] for j in range(m)]
 
 
@@ -277,7 +277,7 @@ def _neutral_witness(rows, cols, e):
 def _commutative_witness(rows, cols):
     for x, (row, col) in enumerate(zip(rows, cols)):
         if row != col:
-            return x, _first_difference(row, col)
+            return x, first_difference(row, col)
     return None
 
 
@@ -295,14 +295,14 @@ def _associative_witness(rows):
             for y, ry in enumerate(rows):
                 left = ry.translate(table)
                 if left != rows[rx[y]]:
-                    return x, y, _first_difference(left, rows[rx[y]])
+                    return x, y, first_difference(left, rows[rx[y]])
         return None
     through = [itemgetter(*ry) for ry in rows]
     for x, rx in enumerate(rows):
         for y, read in enumerate(through):
             left = read(rx)
             if left != rows[rx[y]]:
-                return x, y, _first_difference(left, rows[rx[y]])
+                return x, y, first_difference(left, rows[rx[y]])
     return None
 
 
@@ -341,10 +341,6 @@ def _cover_positions(lat: BoundedLattice) -> tuple:
     """The covers of ``lat`` as position pairs, memoised on the lattice."""
     pos = lat.positions
     return lat.derived("cover positions", lambda: tuple((pos[lo], pos[hi]) for lo, hi in lat.covers))
-
-
-def _first_difference(a, b) -> int:
-    return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
 def check_associativity_partitioned(candidate: FullBinOpTable, blocks):

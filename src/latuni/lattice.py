@@ -8,7 +8,9 @@ computes both in one topological order of the covers, each up-set the
 union of its upper covers' up-sets and each down-set that of its lower
 covers' down-sets, and falls back to a search per element only to name a
 cycle.  Meet and join are flat row-major tables of positions,
-``meets[i * n + j]``, computed for j >= i and mirrored.  Every public method
+``meets[i * n + j]``, computed for j >= i and mirrored; the row scans of
+the certifiers read such tables as rows in the one form
+:func:`packed_positions` chooses.  Every public method
 takes and returns ids at the cost of one index lookup; the per-cell and
 per-triple scans of the other modules read the integer views directly.
 Intervals, case partitions and other tables that depend on the order
@@ -214,6 +216,20 @@ class BoundedLattice:
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
+
+
+def packed_positions(values, m: int):
+    """A sequence of positions 0..m-1 in the form the row scans compose:
+    ``bytes`` when every position fits in a byte (m <= 256), so that a row
+    padded to 256 bytes is a ``bytes.translate`` table, and a tuple past
+    that.  :func:`binop.validate_uninorm` and :func:`unary.validate_unary`
+    both read their rows in this form."""
+    return bytes(values) if m <= 256 else tuple(values)
+
+
+def first_difference(a, b) -> int:
+    """The first index at which two equal-length rows differ."""
+    return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
 class RegionLabel(enum.Enum):

@@ -7,6 +7,14 @@ checked apart: it follows from axiom 2, since x <= y gives f(y) =
 f(x v y) = f(x) v f(y) >= f(x).  Witnesses for a failed axiom come from
 the first violation in declared element order.
 
+:func:`validate_unary` reads the map's ids into positions in one pass and
+certifies on positions: axiom 2 as one comparison of two rows per
+element and axiom 3 as one, on the order's join rows, which are memoised
+on the order; axiom 1 asks the order once per element.  Up to 256 elements
+the rows are ``bytes`` and each read of one row through another is one
+``bytes.translate``, the kernel of ``binop.validate_uninorm``'s
+associativity scan; larger lattices keep tuple rows.
+
 Interior operators are the closure operators of the dual lattice: there is
 one axiom check, the closure one, and an interior map is checked by running
 it in the order :func:`order_of` gives, ``lat.dual()``, with the axiom names
@@ -18,9 +26,10 @@ the dual lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import AxiomViolation, MismatchedLattice, UnknownElement
-from .lattice import BoundedLattice, IntervalSpec
+from .lattice import BoundedLattice, IntervalSpec, first_difference, packed_positions
 
 CLOSURE = "closure"
 INTERIOR = "interior"
@@ -57,44 +66,105 @@ def order_of(lat: BoundedLattice, kind: str) -> BoundedLattice:
 def validate_unary(lat: BoundedLattice, kind: str, mapping) -> UnaryOpTable:
     """Certify a self-map as a closure or interior operator.
 
-    Raises AxiomViolation naming the first violated axiom (CL1/CL2/CL3 or
-    IN1/IN2/IN3) with witness elements.  Monotonicity follows from axiom 2
-    and is not checked apart.
+    Raises UnknownElement for the first element the map leaves out, then
+    for the first key or value, in the map's order, that is not an
+    element; then AxiomViolation naming the first violated axiom
+    (CL1/CL2/CL3 or IN1/IN2/IN3) with witness elements.  Monotonicity
+    follows from axiom 2 and is not checked apart.
     """
     order = order_of(lat, kind)
-    mapping = dict(mapping)
-    for x in lat.elements:
+    f = _image(lat, dict(mapping))
+
+    # One check serves both kinds: an interior operator is a closure
+    # operator of the dual lattice.  Only the axiom names differ.  Each
+    # scan goes in declared element order, so each witness is the first
+    # violation in that order.  Axiom 1 asks the order's leq once per
+    # element: these are all the leq calls of perfbench's iff-sweep
+    # workload, and its traced coverage table requires that workload to
+    # make some.
+    name = "CL" if kind == CLOSURE else "IN"
+    els = lat.elements
+    for x, v in enumerate(f):
+        if not order.leq(els[x], els[v]):
+            raise AxiomViolation(f"{name}1", (els[x],))
+    failure = _first_failure(order, f)
+    if failure is not None:
+        axiom, witness = failure
+        raise AxiomViolation(f"{name}{axiom}", tuple(els[i] for i in witness))
+    return UnaryOpTable(lat, kind, f)
+
+
+def _image(lat: BoundedLattice, mapping: dict) -> tuple:
+    """The map on positions, in element order, read in one pass.
+
+    A map that is not total on the elements or not into them fails that
+    pass; the scans after it then raise UnknownElement for the first
+    missing element, then for the first foreign key or value in the map's
+    order, and TypeError for an unhashable value they reach.
+    """
+    els, pos = lat.elements, lat.positions
+    if len(mapping) == len(els):
+        try:
+            return tuple([pos[mapping[x]] for x in els])
+        except (KeyError, TypeError):
+            pass
+    for x in els:
         if x not in mapping:
             raise UnknownElement(x)
     for x, v in mapping.items():
         if x not in lat or v not in lat:
             raise UnknownElement(v if x in lat else x)
+    raise AssertionError("a map of the elements into them failed the one-pass read")
 
-    # One check serves both kinds: an interior operator is a closure
-    # operator of the dual lattice.  Only the axiom names differ.  Axiom 1
-    # asks the order once per element; the other scans run on positions.
-    # All go in declared element order, so each witness is the first
-    # violation in that order.
-    name = "CL" if kind == CLOSURE else "IN"
-    els, joins = lat.elements, order.joins
-    n = len(els)
-    f = tuple(lat.positions[mapping[x]] for x in els)
-    everything = range(n)
-    for x in everything:
-        if not order.leq(els[x], els[f[x]]):
-            raise AxiomViolation(f"{name}1", (els[x],))
-    for x in everything:
-        # f(x v y) and f(x) v f(y), for every y.
-        left = [f[z] for z in joins[x * n:x * n + n]]
-        row = joins[f[x] * n:f[x] * n + n]
-        right = [row[v] for v in f]
-        if left != right:
-            y = next(y for y in everything if left[y] != right[y])
-            raise AxiomViolation(f"{name}2", (els[x], els[y]))
-    for x in everything:
-        if f[f[x]] != f[x]:
-            raise AxiomViolation(f"{name}3", (els[x],))
-    return UnaryOpTable(lat, kind, f)
+
+def _join_rows(order: BoundedLattice):
+    """The join table of ``order`` as rows of positions, in the form
+    :func:`packed_positions` chooses, and, for bytes rows, each row padded
+    to a 256-byte translation table (None for tuple rows).  Memoised on the
+    order: an interior operator's order is ``lat.dual()``, whose joins are
+    lat's meets."""
+
+    def make():
+        n = len(order)
+        t = packed_positions(order.joins, n)
+        rows = [t[i * n:i * n + n] for i in range(n)]
+        if not isinstance(t, bytes):
+            return rows, None
+        pad = bytes(256 - n)
+        return rows, [row + pad for row in rows]
+
+    return order.derived("join rows", make)
+
+
+def _first_failure(order: BoundedLattice, f: tuple):
+    """The first failure of axiom 2, then of axiom 3, of the map ``f`` on
+    positions, as (axiom number, witness positions), or None.
+
+    Join row x read through f is f(x v y) over every y, and f read through
+    join row f(x) is f(x) v f(y); the first y where they differ makes the
+    witness (x, y).  f read through itself is f(f(y)).  Up to 256 elements
+    each read is one ``bytes.translate`` and each comparison one memcmp;
+    past that, ``operator.itemgetter`` reads tuple rows.
+    """
+    rows, tables = _join_rows(order)
+    if tables is not None:
+        f = bytes(f)
+        through_f = f + bytes(256 - len(f))
+        for x, row in enumerate(rows):
+            left, right = row.translate(through_f), f.translate(tables[f[x]])
+            if left != right:
+                return 2, (x, first_difference(left, right))
+        twice = f.translate(through_f)
+    else:
+        read_f = itemgetter(*f)
+        for x, row in enumerate(rows):
+            left, right = itemgetter(*row)(f), read_f(rows[f[x]])
+            if left != right:
+                return 2, (x, first_difference(left, right))
+        twice = read_f(f)
+    if twice != f:
+        return 3, (first_difference(twice, f),)
+    return None
 
 
 def identity_operator(lat: BoundedLattice, kind: str) -> UnaryOpTable:

@@ -6,7 +6,8 @@ dict computations; here they are compared with ``build_lattice``,
 ``classify`` on the bundled lattices, on every table of an l2 sweep, on
 every self-map of the small lattices, on every uninorm of the small
 lattices, on one-cell corruptions of the golden tables and of the join
-t-conorms and meet t-norms, and on drawn inputs.
+t-conorms and meet t-norms, on operators of chains of 256 and 257
+elements, and on drawn inputs.
 """
 
 import functools
@@ -34,8 +35,8 @@ from latuni import (
     validate_unary,
     validate_uninorm,
 )
-from latuni.errors import LatuniError, UnknownElement
-from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain_product
+from latuni.errors import AxiomViolation, LatuniError, UnknownElement
+from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, chain_product
 from latuni.search import brute_force_uninorms, enumerate_admissible_pairs
 from naive import (
     naive_classify,
@@ -247,11 +248,12 @@ def _site(name):
 
 def _assert_same_outcome(call, reference):
     """Both return the same value, or both raise the same exception type
-    with the same message and attributes (axiom name, witness, element)."""
+    with the same message and attributes (axiom name, witness, element).
+    A TypeError, such as an unhashable id, counts as an outcome too."""
     try:
         expected = reference()
-    except LatuniError as exc:
-        with pytest.raises(LatuniError) as err:
+    except (LatuniError, TypeError) as exc:
+        with pytest.raises((LatuniError, TypeError)) as err:
             call()
         assert type(err.value) is type(exc)
         assert vars(err.value) == vars(exc)
@@ -339,32 +341,103 @@ def test_validate_unary_matches_naive_on_every_self_map(name):
             _assert_same_unary(lat, naive, kind, mapping)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_validate_unary_matches_naive_on_drawn_maps(data):
-    """A join-with-k closure or meet-with-k interior operator with a few
-    values changed, then sometimes an entry dropped, a value unknown or an
-    unknown key added, so that each axiom and each unknown-id check fails
-    somewhere."""
-    lat, _, naive = _site(data.draw(st.sampled_from(sorted(SITES))))
+@st.composite
+def unary_cases(draw):
+    """A site, a kind and a join-with-k closure or meet-with-k interior
+    operator with a few values changed, then sometimes an entry dropped, a
+    value unknown or an unknown key added, so that each axiom and each
+    unknown-id check fails somewhere."""
+    name = draw(st.sampled_from(sorted(SITES)))
+    lat = _site(name)[0]
     els = lat.elements
-    kind = data.draw(st.sampled_from([CLOSURE, INTERIOR]))
-    k = data.draw(st.sampled_from(els))
+    kind = draw(st.sampled_from([CLOSURE, INTERIOR]))
+    k = draw(st.sampled_from(els))
     with_k = lat.join if kind == CLOSURE else lat.meet
     mapping = {x: with_k(x, k) for x in els}
     changes = st.tuples(st.sampled_from(els), st.sampled_from(els))
-    for x, v in data.draw(st.lists(changes, max_size=3)):
+    for x, v in draw(st.lists(changes, max_size=3)):
         mapping[x] = v
-    for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
-        defect = data.draw(st.sampled_from(["missing", "unknown value", "unknown key"]))
-        x = data.draw(st.sampled_from(els))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        defect = draw(st.sampled_from(["missing", "unknown value", "unknown key"]))
+        x = draw(st.sampled_from(els))
         if defect == "missing":
             mapping.pop(x, None)
         elif defect == "unknown value":
             mapping[x] = "zz"
         else:
             mapping["yy"] = x
+    return name, kind, mapping
+
+
+# l2's identity map with ids changed.  The map's ids are read in one pass,
+# and a map that fails it is rescanned for the first error: a missing
+# element wins over an unknown key, also when the two keep the map's size.
+_L2 = ("0", "a", "e", "m", "k", "s", "n", "b", "1")
+_L2_IDENTITY = {x: x for x in _L2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(unary_cases())
+@example(("l2", CLOSURE, {**{x: x for x in _L2 if x != "e"}, "yy": "e"}))
+@example(("l2", INTERIOR, {**{x: x for x in _L2 if x != "e"}, "yy": "e"}))
+# Every element and one unknown key.
+@example(("l2", CLOSURE, {**_L2_IDENTITY, "yy": "0"}))
+# An unknown value; an unknown value after an unknown key.
+@example(("l2", CLOSURE, {**_L2_IDENTITY, "k": "zz"}))
+@example(("l2", INTERIOR, {**_L2_IDENTITY, "yy": "0", "k": "zz"}))
+# An unhashable value raises TypeError; an unknown key before it wins, and
+# so does a missing element after it, also when the two keep the map's size.
+@example(("l2", CLOSURE, {**_L2_IDENTITY, "k": ["k"]}))
+@example(("l2", CLOSURE, {"yy": "0", **_L2_IDENTITY, "k": ["k"]}))
+@example(("l2", CLOSURE, {**{x: x for x in _L2 if x != "1"}, "a": ["a"], "yy": "1"}))
+# A map given as a list of pairs: an operator, and one failing CL2.
+@example(("l2", CLOSURE, list(_L2_IDENTITY.items())))
+@example(("l2", CLOSURE, [*_L2_IDENTITY.items(), ("0", "b")]))
+def test_validate_unary_matches_naive_on_drawn_maps(case):
+    name, kind, mapping = case
+    lat, _, naive = _site(name)
     _assert_same_unary(lat, naive, kind, mapping)
+
+
+def _naive_chain(n):
+    """The naive (leq, meet, join) of ``fixtures.chain(n)``, given by index:
+    c_i <= c_j when i <= j.  ``naive_lattice`` takes tens of seconds past
+    256 elements."""
+    names = [f"c{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    leq = {(names[i], names[j]) for i, j in pairs if i <= j}
+    meet = {(names[i], names[j]): names[min(i, j)] for i, j in pairs}
+    join = {(names[i], names[j]): names[max(i, j)] for i, j in pairs}
+    return leq, meet, join
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_validate_unary_matches_naive_on_long_chains(n):
+    """At 256 elements the rows are bytes, one past it tuples.  A join-with-k
+    closure and a meet-with-k interior operator on the chain, and one-value
+    corruptions of each that fail axiom 1, 2 and 3."""
+    lat = chain(n)
+    naive = _naive_chain(n)
+    c = lat.elements
+    m = n // 2
+    # (element, new value) for each kind: the value below the element
+    # breaks CL1; an image raised to the top breaks CL2 (the map is no
+    # longer monotone); the fixed point k moved one step out breaks CL3.
+    # Dually for the interior operator.
+    corruptions = {
+        CLOSURE: [(c[m + 3], c[m + 2]), (c[m - 3], c[-1]), (c[m], c[m + 1])],
+        INTERIOR: [(c[m - 3], c[m - 2]), (c[m + 3], c[0]), (c[m], c[m - 1])],
+    }
+    for kind, with_k in ((CLOSURE, lat.join), (INTERIOR, lat.meet)):
+        op = {x: with_k(x, c[m]) for x in c}
+        _assert_same_unary(lat, naive, kind, op)
+        name = "CL" if kind == CLOSURE else "IN"
+        for (x, v), axiom in zip(corruptions[kind], "123"):
+            bad = {**op, x: v}
+            with pytest.raises(AxiomViolation) as err:
+                validate_unary(lat, kind, bad)
+            assert err.value.axiom == f"{name}{axiom}"
+            _assert_same_unary(lat, naive, kind, bad)
 
 
 @pytest.mark.parametrize("name", sorted(SITES))
