@@ -4,10 +4,12 @@ Candidate maps are produced depth-first in lexicographic order over the
 declared element order, and each search decides its axioms as it goes,
 so every leaf is certified once, by the real validator, before it is
 emitted.  The operator search decides CL1-CL3 on the partial map, so
-each leaf is an operator.  The table search fixes the neutral element,
+each leaf is an operator.  The table search walks its cells with an
+explicit stack of remaining value masks, fixes the neutral element,
 commutativity and monotonicity as it goes, and decides associativity
-row by row: when a row completes, the triples it makes final are
-checked and a failing subtree is cut.  So every complete
+row by row: when a row completes it is stored once as ``bytes``, each
+triple it makes final is one ``bytes.translate`` of a stored row and one
+compare, and a failing subtree is cut.  So every complete
 table is associative, and only those are built and certified, once,
 by ``brute_force_uninorms``.  A t-(co)norm is a uninorm on its domain's
 interval lattice, so the t-(co)norm search is that search there, under
@@ -170,84 +172,129 @@ def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]
     ``neutral`` whose partial fillings all stay monotone.
 
     Depth-first over the cells off the neutral row and column, upper
-    triangle in row-major order.  Cells and values are positions in
-    ``lat``, whose order is read from its ``up`` and ``down`` bitmasks.
-    Every filled cell already agrees with the others, so a cell
+    triangle in row-major order, walked with an explicit stack: ``masks[c]``
+    holds the values cell c has left to try.  Cells and values are
+    positions in ``lat``, whose order is read from its ``up`` and ``down``
+    bitmasks.  Every filled cell already agrees with the others, so a cell
     (i, j) may take the values monotone against the filled cells of column
     j in the rows comparable to i, and likewise at its mirror (j, i): a
     bitmask, the AND of ``up[a]`` over the values a filled below and of
-    ``down[b]`` over those filled above, computed once per node in O(m).
-    Its set bits are visited in increasing order, so the tables come in
-    lexicographic order over the declared element order.
+    ``down[b]`` over those filled above.  The cells filled at cell c are
+    the same at every node, so their offsets, and the neutral row's fixed
+    share of the mask, are listed once per search.  Set bits are visited
+    in increasing order, so the tables come in lexicographic order over
+    the declared element order.
 
     Associativity is decided as each row completes.  After the last cell
-    of row i, rows 0..i and the neutral row are complete, and a triple
-    (x, y, z) is final once rows x, y and t(x, y) are: the filling is
-    pruned on the first such triple, new with row i, that fails.  Triples
-    through the neutral element hold, and after the last row every triple
-    has been checked, so each leaf is associative and is built into an
-    id-keyed table and yielded, for ``brute_force_uninorms`` to certify.
+    of row i, rows 0..i and the neutral row are complete, and the row is
+    stored once as ``bytes`` with its 256-byte padded ``translate`` table.
+    A triple (x, y, z) is final once rows x, y and w = t(x, y) are, and
+    all z are decided at once: row w must be ``rows[y].translate(tables[x])``
+    (:func:`_row_associative`).  The filling is pruned on the first pair,
+    new with row i, that fails.  Triples through the neutral element hold,
+    and after the last row every triple has been checked, so each leaf is
+    associative; it is built into an id-keyed table from the cell keys,
+    listed once per search, and yielded for ``brute_force_uninorms`` to
+    certify.
     """
     if neutral not in lat:
         raise UnknownElement(neutral)
     els, up, down = lat.elements, lat.up, lat.down
     m = len(els)
-    everything = (1 << m) - 1
-    # Row offsets of the rows strictly below and strictly above each row.
-    below = [[k * m for k in range(m) if k != i and up[k] >> i & 1] for i in range(m)]
-    above = [[k * m for k in range(m) if k != i and up[i] >> k & 1] for i in range(m)]
     e = lat.positions[neutral]
-    t = [None] * (m * m)
+    t = [0] * (m * m)
     for k in range(m):
         t[e * m + k] = t[k * m + e] = k
-    # Each cell with the row it completes, if it is that row's last cell.
+    keys = [(x, y) for x in els for y in els]
+    # Each cell with the row it completes if it is that row's last cell,
+    # else -1.
     last = m - 2 if e == m - 1 else m - 1
-    cells = [(i, j, i if j == last else None) for i in range(m) for j in range(i, m) if e not in (i, j)]
+    cells = [(i, j, i if j == last else -1) for i in range(m) for j in range(i, m) if e not in (i, j)]
+    if not cells:
+        yield dict(zip(keys, map(els.__getitem__, t)))
+        return
+    # For cell c: the neutral row's share of its mask, and the offsets of
+    # the filled cells whose values bound it from below and from above.  At
+    # cell (i, j) the filled rows of column j are those before i, and at its
+    # mirror (j, i) the rows of column i before j.
+    everything = (1 << m) - 1
+    bases, lows, highs = [], [], []
+    for i, j, _ in cells:
+        base, low, high = everything, [], []
+        for a, b in ((i, j), (j, i)) if i != j else ((i, i),):
+            if up[e] >> a & 1:
+                base &= up[b]
+            elif up[a] >> e & 1:
+                base &= down[b]
+            for r in range(a):
+                if r != e:
+                    if up[r] >> a & 1:
+                        low.append(r * m + b)
+                    elif up[a] >> r & 1:
+                        high.append(r * m + b)
+        bases.append(base)
+        lows.append(low)
+        highs.append(high)
+    pad = bytes(256 - m)
+    rows = [b""] * m
+    tables = [b""] * m
+    rows[e] = bytes(range(m))
+    tables[e] = rows[e] + pad
 
-    def fitting(i, j) -> int:
-        """The bitmask of the values v for which t(i, j) = v is monotone
-        against column j's filled cells."""
-        mask = everything
-        for r in below[i]:
-            a = t[r + j]
-            if a is not None:
-                mask &= up[a]
-        for r in above[i]:
-            b = t[r + j]
-            if b is not None:
-                mask &= down[b]
-        return mask
+    # masks[c]: the values cell c has left to try on the current path.
+    # Cell 0 reads no filled cell, so its mask is its base.
+    final = len(cells) - 1
+    masks = [0] * len(cells)
+    masks[0] = bases[0]
+    c = 0
+    while c >= 0:
+        mask = masks[c]
+        if not mask:
+            c -= 1
+            continue
+        bit = mask & -mask
+        masks[c] = mask ^ bit
+        i, j, k = cells[c]
+        t[i * m + j] = t[j * m + i] = bit.bit_length() - 1
+        if k >= 0:
+            rows[k] = row = bytes(t[k * m:k * m + m])
+            tables[k] = row + pad
+            if not _row_associative(rows, tables, k, e):
+                continue
+        if c == final:
+            yield dict(zip(keys, map(els.__getitem__, t)))
+            continue
+        c += 1
+        mask = bases[c]
+        for p in lows[c]:
+            mask &= up[t[p]]
+        for p in highs[c]:
+            mask &= down[t[p]]
+        masks[c] = mask
 
-    def associative_with(i) -> bool:
-        """Whether t(t(x, y), z) = t(x, t(y, z)) for every z and every pair
-        (x, y) off e that row i completes: rows x, y and w = t(x, y) are
-        complete, and i is one of them.  Row w must be row x read at row y."""
-        done = (1 << i + 1) - 1 | 1 << e
-        rows = [t[k:k + m] for k in range(0, m * m, m)]
-        span = [x for x in range(i + 1) if x != e]
-        for x in span:
-            rx = rows[x]
-            for y in span:
-                w = rx[y]
-                if (i == w or i == x or i == y) and done >> w & 1 and [rx[v] for v in rows[y]] != rows[w]:
-                    return False
-        return True
 
-    def rec(c):
-        if c == len(cells):
-            yield {(x, y): els[t[i * m + j]] for i, x in enumerate(els) for j, y in enumerate(els)}
-            return
-        i, j, row = cells[c]
-        mask = fitting(i, j) if i == j else fitting(i, j) & fitting(j, i)
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            t[i * m + j] = t[j * m + i] = bit.bit_length() - 1
-            if row is None or associative_with(row):
-                yield from rec(c + 1)
-        t[i * m + j] = t[j * m + i] = None
-
-    yield from rec(0)
+def _row_associative(rows: list, tables: list, i: int, e: int) -> bool:
+    """Whether t(t(x, y), z) = t(x, t(y, z)) for every z and every pair
+    (x, y) off e that completing row i makes final: (i, y) and (y, i) for
+    y <= i when row w = t(i, y) is complete (w <= i or w = e), and (x, y)
+    for x, y < i with t(x, y) = i.  ``rows`` holds the complete rows as
+    ``bytes`` and ``tables`` each padded to a ``translate`` table; no row
+    past i but e's is read.  Row w must be row y translated by row x."""
+    row, table = rows[i], tables[i]
+    for y in range(i + 1):
+        w = row[y]
+        if y != e and (w <= i or w == e):
+            rw = rows[w]
+            if rows[y].translate(table) != rw or row.translate(tables[y]) != rw:
+                return False
+    for x in range(i):
+        rx = rows[x]
+        y = rx.find(i, 0, i)
+        while y >= 0:
+            if rows[y].translate(tables[x]) != row:
+                return False
+            y = rx.find(i, y + 1, i)
+    return True
 
 
 def _check_uninorm_cap(size: int) -> None:

@@ -647,6 +647,53 @@ def test_table_search_past_the_uninorm_cap(make, counts):
     assert found == counts
 
 
+def test_table_search_order_past_the_uninorm_cap():
+    """At every e strictly between the bounds of two 6-element and two
+    7-element lattices, the table search's leaves are pinned in order: their
+    counts, and one sha256 over each leaf's e and cells row-major.  Only at
+    these sizes does the search backtrack across many completed rows."""
+    digest = hashlib.sha256()
+    counts = []
+    for lat in (chain(6), chain_product(2, 3), chain(7), chain_product(2, 4)):
+        els = lat.elements
+        found = []
+        for e in els[1:-1]:
+            tables = list(_monotone_commutative_tables(lat, e))
+            for table in tables:
+                digest.update(json.dumps([e, [table[x, y] for x in els for y in els]]).encode() + b"\n")
+            found.append(len(tables))
+        counts.append(found)
+    assert counts == [[68, 51, 51, 68], [48, 123, 123, 48], [308, 217, 194, 217, 308], [669, 510, 2489, 2489, 510, 669]]
+    assert digest.hexdigest() == "7acc1881103a35cd0ec5f4101936944a03fc37cffbca55a1cd62a3248c20ccef"
+
+
+def test_table_search_prunes_at_pinned_row_ends(monkeypatch):
+    """The table search decides associativity at each row end, and how many
+    row ends it reaches and passes is pinned: over the 14 (lattice, e) pairs
+    of the small lattices with e strictly inside, then at every interior e
+    of chain(6), chain_product(2, 3) and chain(7).  A check that defers a
+    failing triple to a later row yields the same tables but visits more
+    nodes, and is caught here."""
+    checks = []
+    row_associative = search._row_associative
+
+    def counted(*args):
+        checks.append(row_associative(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(search, "_row_associative", counted)
+    groups = [[make() for make in SMALL_LATTICES.values()], [chain(6)], [chain_product(2, 3)], [chain(7)]]
+    found = []
+    for lattices in groups:
+        checks.clear()
+        for lat in lattices:
+            for e in lat.elements[1:-1]:
+                for _ in _monotone_commutative_tables(lat, e):
+                    pass
+        found.append((len(checks), sum(checks)))
+    assert found == [(1894, 1068), (1982, 829), (2886, 1171), (17040, 5008)]
+
+
 def test_constructed_tables_appear_in_brute_force(fx_l1):
     lat = diamond()
     boundary = join_tconorm(lat, "a")
