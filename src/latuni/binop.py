@@ -9,17 +9,15 @@ the interval's own lattice, with its neutral element at a bound, so
 :func:`validate_uninorm` there.  All scans run row-major over declared
 element order so the first witness is reproducible.
 
-:func:`validate_uninorm` reads a table on positions as rows and columns.
-On a lattice of at most 256 elements each row is ``bytes``: the
-associativity scan composes two rows with one ``bytes.translate`` and
-compares rows as one ``memcmp``.  Larger lattices keep tuple rows, which
-``operator.itemgetter`` composes.
+:func:`validate_uninorm` reads a table on positions as rows and columns,
+in the form ``lattice.packed_positions`` chooses: the associativity scan
+composes two rows with one ``translate`` (one C call on the ``bytes``
+rows of up to 256 elements) and compares rows in one compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 
 from .errors import (
     AxiomViolation,
@@ -29,7 +27,8 @@ from .errors import (
     OutOfDomainOutput,
     UnknownElement,
 )
-from .lattice import BoundedLattice, IntervalSpec, RegionLabel, case_partition, first_difference, packed_positions
+from .lattice import BoundedLattice, IntervalSpec, RegionLabel, case_partition
+from .lattice import first_difference, packed_positions, translation_pad
 
 TNORM = "tnorm"
 TCONORM = "tconorm"
@@ -222,9 +221,8 @@ def meet_tnorm(lat: BoundedLattice, high: str) -> PartialBinOpTable:
 def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
     """Exhaustively check the four uninorm axioms; failures are data.
 
-    The table is read once into lattice positions, as bytes rows when
-    every position fits in a byte (at most 256 elements) and as tuple rows
-    otherwise; every scan then runs row-major over declared element order,
+    The table is read once into lattice positions, as packed rows and
+    columns; every scan then runs row-major over declared element order,
     so each witness is the first violation in that order.
     """
     lat = candidate.lattice
@@ -258,8 +256,8 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
 
 # The axiom scans of validate_uninorm.  They read a table on positions
 # 0..m-1 as its rows (rows[x][y] = t(x, y)) and columns (cols[y][x] =
-# t(x, y)), both bytes for m <= 256 and tuples past that, and return the
-# first witness, as positions, or None.
+# t(x, y)), both packed by packed_positions, and return the first
+# witness, as positions, or None.
 
 def _rows_and_columns(t, m):
     t = packed_positions(t, m)
@@ -267,11 +265,11 @@ def _rows_and_columns(t, m):
 
 
 def _neutral_witness(rows, cols, e):
-    # The identity row, of the rows' own type: bytes(range(m)) or a tuple.
-    identity = type(rows[e])(range(len(rows)))
+    m = len(rows)
+    identity = packed_positions(range(m), m)
     if rows[e] == identity and cols[e] == identity:
         return None
-    return (next(x for x in range(len(rows)) if rows[e][x] != x or cols[e][x] != x),)
+    return (next(x for x in range(m) if rows[e][x] != x or cols[e][x] != x),)
 
 
 def _commutative_witness(rows, cols):
@@ -282,25 +280,14 @@ def _commutative_witness(rows, cols):
 
 
 def _associative_witness(rows):
-    # t(x, t(y, z)) over z is row x read at the entries of row y, and
-    # t(t(x, y), z) is row t(x, y).  On bytes rows, row x padded to 256
-    # bytes is a translation table, so the read is one C call of row y's
-    # translate and the comparison one memcmp; the pad is never read, as
-    # every entry is below m.  Past 256 elements, row y's itemgetter reads
-    # the tuple row x.
-    if isinstance(rows[0], bytes):
-        pad = bytes(256 - len(rows))
-        for x, rx in enumerate(rows):
-            table = rx + pad
-            for y, ry in enumerate(rows):
-                left = ry.translate(table)
-                if left != rows[rx[y]]:
-                    return x, y, first_difference(left, rows[rx[y]])
-        return None
-    through = [itemgetter(*ry) for ry in rows]
+    # t(x, t(y, z)) over z is row x read at the entries of row y, which is
+    # row y translated by row x padded to a table, and t(t(x, y), z) is
+    # row t(x, y).
+    pad = translation_pad(len(rows))
     for x, rx in enumerate(rows):
-        for y, read in enumerate(through):
-            left = read(rx)
+        table = rx + pad
+        for y, ry in enumerate(rows):
+            left = ry.translate(table)
             if left != rows[rx[y]]:
                 return x, y, first_difference(left, rows[rx[y]])
     return None

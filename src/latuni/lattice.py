@@ -8,9 +8,10 @@ computes both in one topological order of the covers, each up-set the
 union of its upper covers' up-sets and each down-set that of its lower
 covers' down-sets, and falls back to a search per element only to name a
 cycle.  Meet and join are flat row-major tables of positions,
-``meets[i * n + j]``, computed for j >= i and mirrored; the row scans of
+``meets[i * n + j]``, computed for j >= i and mirrored.  The row scans of
 the certifiers read such tables as rows in the one form
-:func:`packed_positions` chooses.  Every public method
+:func:`packed_positions` gives, ``bytes`` up to 256 positions, and read
+one row through another with its ``translate``.  Every public method
 takes and returns ids at the cost of one index lookup; the per-cell and
 per-triple scans of the other modules read the integer views directly.
 Intervals, case partitions and other tables that depend on the order
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -51,8 +54,9 @@ class BoundedLattice:
 
     Do not instantiate directly; use :func:`build_lattice`, which verifies
     the partial order, the bounds, and the existence of unique meets and
-    joins before any table is trusted.  :meth:`dual` and
-    :meth:`interval_lattice` derive theirs from those certified tables.
+    joins before any table is trusted.  :meth:`dual` derives its tables
+    from those certified ones, and :meth:`interval_lattice` builds the
+    interval with :func:`build_lattice`.
     """
 
     elements: tuple[str, ...]
@@ -159,36 +163,17 @@ class BoundedLattice:
         bounds ``spec.low`` and ``spec.high``: a t-(co)norm on it is a
         uninorm on this lattice.
 
-        An interval is convex and closed under meet and join, so its covers,
-        order, meets and joins are the parent's restricted to it and
-        renumbered; like :meth:`dual`, it is derived from the certified
-        tables, not built again.  An open ``spec`` raises UnknownElement
-        for the first bound it leaves out.
+        It is :func:`build_lattice` of the interval's elements and the
+        covers inside it, memoised: an interval is convex, so those covers
+        are its Hasse covers.  An open ``spec`` raises UnknownElement for
+        the first bound it leaves out.
         """
 
         def make():
             dom = self.interval(spec)
-            pos = {x: k for k, x in enumerate(dom)}
-            for bound in (spec.low, spec.high):
-                if bound not in pos:
-                    raise UnknownElement(bound)
-            # keep[k] is the parent position of element k of the interval.
-            keep = [self.positions[x] for x in dom]
-            at = {p: k for k, p in enumerate(keep)}
-            bits = [(q, 1 << k) for k, q in enumerate(keep)]
-            rows = [p * len(self) for p in keep]
-
-            def restrict(masks):
-                return tuple([sum([bit for q, bit in bits if masks[p] >> q & 1]) for p in keep])
-
-            def renumber(table):
-                return tuple([at[table[r + q]] for r in rows for q in keep])
-
-            covers = tuple((lo, hi) for lo, hi in self.covers if lo in pos and hi in pos)
-            return BoundedLattice(
-                dom, covers, spec.low, spec.high, pos,
-                restrict(self.up), restrict(self.down), renumber(self.meets), renumber(self.joins),
-            )
+            inside = set(dom)
+            covers = [(lo, hi) for lo, hi in self.covers if lo in inside and hi in inside]
+            return build_lattice(dom, covers, spec.low, spec.high)
 
         return self.derived(("interval lattice", spec), make)
 
@@ -218,13 +203,38 @@ class BoundedLattice:
         return self._dual
 
 
+class _WideRow(tuple):
+    """A row of positions past 256, read as a ``bytes`` row is: a slice of
+    it is a row, and ``translate(table)`` reads ``table`` at each entry,
+    through one ``itemgetter`` built on the first read."""
+
+    def __getitem__(self, key):
+        item = tuple.__getitem__(self, key)
+        return _WideRow(item) if isinstance(key, slice) else item
+
+    @cached_property
+    def _read(self):
+        return itemgetter(*self)
+
+    def translate(self, table):
+        return self._read(table)
+
+
 def packed_positions(values, m: int):
-    """A sequence of positions 0..m-1 in the form the row scans compose:
-    ``bytes`` when every position fits in a byte (m <= 256), so that a row
-    padded to 256 bytes is a ``bytes.translate`` table, and a tuple past
-    that.  :func:`binop.validate_uninorm` and :func:`unary.validate_unary`
-    both read their rows in this form."""
-    return bytes(values) if m <= 256 else tuple(values)
+    """A row of positions 0..m-1 in the one form the row scans read.
+
+    Up to 256 positions it is ``bytes``, whose ``translate`` reads a
+    256-byte table in one C call and whose comparison is one memcmp; past
+    that, a tuple with the same ``translate`` and slices.  Row y read
+    through row x is ``ry.translate(rx + translation_pad(m))`` in both."""
+    return bytes(values) if m <= 256 else _WideRow(values)
+
+
+def translation_pad(m: int):
+    """What turns a row of m positions into a ``translate`` table: the 256 -
+    m bytes ``bytes.translate`` needs, never read since every entry is
+    below m, and nothing past 256."""
+    return bytes(256 - m) if m <= 256 else ()
 
 
 def first_difference(a, b) -> int:

@@ -34,7 +34,7 @@ from .construct import (
     comparability_region,
 )
 from .errors import LatticeTooLarge, UnknownElement
-from .lattice import BoundedLattice, IntervalSpec
+from .lattice import BoundedLattice, IntervalSpec, translation_pad
 from .unary import UnaryOpTable, order_of, validate_unary
 
 MAX_UNARY_LATTICE = 12
@@ -187,7 +187,8 @@ def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]
 
     Associativity is decided as each row completes.  After the last cell
     of row i, rows 0..i and the neutral row are complete, and the row is
-    stored once as ``bytes`` with its 256-byte padded ``translate`` table.
+    stored once as ``bytes``, the form ``lattice.packed_positions`` gives
+    under the search's cap, with its padded ``translate`` table.
     A triple (x, y, z) is final once rows x, y and w = t(x, y) are, and
     all z are decided at once: row w must be ``rows[y].translate(tables[x])``
     (:func:`_row_associative`).  The filling is pruned on the first pair,
@@ -235,7 +236,7 @@ def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]
         bases.append(base)
         lows.append(low)
         highs.append(high)
-    pad = bytes(256 - m)
+    pad = translation_pad(m)
     rows = [b""] * m
     tables = [b""] * m
     rows[e] = bytes(range(m))

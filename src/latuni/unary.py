@@ -10,10 +10,10 @@ the first violation in declared element order.
 :func:`validate_unary` reads the map's ids into positions in one pass and
 certifies on positions: axiom 2 as one comparison of two rows per
 element and axiom 3 as one, on the order's join rows, which are memoised
-on the order; axiom 1 asks the order once per element.  Up to 256 elements
-the rows are ``bytes`` and each read of one row through another is one
-``bytes.translate``, the kernel of ``binop.validate_uninorm``'s
-associativity scan; larger lattices keep tuple rows.
+on the order; axiom 1 asks the order once per element.  The rows are in
+the form ``lattice.packed_positions`` chooses, and each read of one row
+through another is one ``translate``, the kernel of
+``binop.validate_uninorm``'s associativity scan.
 
 Interior operators are the closure operators of the dual lattice: there is
 one axiom check, the closure one, and an interior map is checked by running
@@ -26,10 +26,9 @@ the dual lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import AxiomViolation, MismatchedLattice, UnknownElement
-from .lattice import BoundedLattice, IntervalSpec, first_difference, packed_positions
+from .lattice import BoundedLattice, IntervalSpec, first_difference, packed_positions, translation_pad
 
 CLOSURE = "closure"
 INTERIOR = "interior"
@@ -119,19 +118,16 @@ def _image(lat: BoundedLattice, mapping: dict) -> tuple:
 
 def _join_rows(order: BoundedLattice):
     """The join table of ``order`` as rows of positions, in the form
-    :func:`packed_positions` chooses, and, for bytes rows, each row padded
-    to a 256-byte translation table (None for tuple rows).  Memoised on the
-    order: an interior operator's order is ``lat.dual()``, whose joins are
-    lat's meets."""
+    :func:`packed_positions` chooses, each row padded to a translation
+    table, and the pad.  Memoised on the order: an interior operator's
+    order is ``lat.dual()``, whose joins are lat's meets."""
 
     def make():
         n = len(order)
         t = packed_positions(order.joins, n)
         rows = [t[i * n:i * n + n] for i in range(n)]
-        if not isinstance(t, bytes):
-            return rows, None
-        pad = bytes(256 - n)
-        return rows, [row + pad for row in rows]
+        pad = translation_pad(n)
+        return rows, [row + pad for row in rows], pad
 
     return order.derived("join rows", make)
 
@@ -142,26 +138,17 @@ def _first_failure(order: BoundedLattice, f: tuple):
 
     Join row x read through f is f(x v y) over every y, and f read through
     join row f(x) is f(x) v f(y); the first y where they differ makes the
-    witness (x, y).  f read through itself is f(f(y)).  Up to 256 elements
-    each read is one ``bytes.translate`` and each comparison one memcmp;
-    past that, ``operator.itemgetter`` reads tuple rows.
+    witness (x, y).  f read through itself is f(f(y)).  Each read is one
+    ``translate`` and each comparison one compare of rows.
     """
-    rows, tables = _join_rows(order)
-    if tables is not None:
-        f = bytes(f)
-        through_f = f + bytes(256 - len(f))
-        for x, row in enumerate(rows):
-            left, right = row.translate(through_f), f.translate(tables[f[x]])
-            if left != right:
-                return 2, (x, first_difference(left, right))
-        twice = f.translate(through_f)
-    else:
-        read_f = itemgetter(*f)
-        for x, row in enumerate(rows):
-            left, right = itemgetter(*row)(f), read_f(rows[f[x]])
-            if left != right:
-                return 2, (x, first_difference(left, right))
-        twice = read_f(f)
+    rows, tables, pad = _join_rows(order)
+    f = packed_positions(f, len(f))
+    through_f = f + pad
+    for x, row in enumerate(rows):
+        left, right = row.translate(through_f), f.translate(tables[f[x]])
+        if left != right:
+            return 2, (x, first_difference(left, right))
+    twice = f.translate(through_f)
     if twice != f:
         return 3, (first_difference(twice, f),)
     return None

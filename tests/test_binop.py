@@ -169,7 +169,8 @@ def test_meet_is_a_uninorm_with_top_neutral(fx_l1):
 
 
 def test_validate_uninorm_past_256_elements_reports_as_below():
-    """Up to 256 elements the scans read bytes rows, past that tuple rows.
+    """Up to 256 elements the scans read bytes rows, past that the wide
+    rows of ``packed_positions``.
     The max table on chain(257), with c0 neutral, is a uninorm; each
     one-cell corruption among the low elements fails with the report it
     has on chain(256), as every first witness lies in the block the two
@@ -189,6 +190,25 @@ def test_validate_uninorm_past_256_elements_reports_as_below():
         ]
         assert not all(check["ok"] for check in reports[0].values())
         assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "cell, value, report",
+    [
+        (("c256", "c200"), "c3", (("c200", "c256"), ("c4", "c256", "c200"), ("c0", "c200", "c256"), None)),
+        (("c255", "c256"), "c255", (("c255", "c256"), None, ("c0", "c255", "c256"), None)),
+    ],
+)
+def test_validate_uninorm_witnesses_past_position_256(cell, value, report):
+    """A one-cell corruption of the max table on chain(257), c0 neutral,
+    whose witnesses read rows and columns past position 256."""
+    lat = chain(257)
+    els = lat.elements
+    table = {(x, y): els[max(i, j)] for i, x in enumerate(els) for j, y in enumerate(els)}
+    got = validate_uninorm(FullBinOpTable(lat, {**table, cell: value}, neutral="c0"))
+    checks = (got.commutative, got.associative, got.monotone, got.neutral)
+    assert tuple(check.witness for check in checks) == report
+    assert all(check.ok == (witness is None) for check, witness in zip(checks, report))
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)

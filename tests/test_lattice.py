@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -223,30 +224,40 @@ def test_interval_lattice_is_the_closed_interval(fx_l1, fx_l2, fx_l3, small_latt
         assert lat.interval_lattice(IntervalSpec(lat.bottom, lat.top)) == lat
 
 
-def test_interval_lattice_is_derived_as_build_lattice_would_build_it(monkeypatch):
-    """The interval lattice, restricted from the parent's certified tables
-    without a build_lattice call, equals build_lattice of the same interval
-    field by field; an open interval raises UnknownElement naming the
-    first bound it leaves out.  The lattices are fresh, so no interval
-    lattice is memoised yet."""
+def test_interval_lattice_equals_build_lattice_of_the_interval():
+    """The interval lattice equals build_lattice of the same interval field
+    by field; an open interval raises UnknownElement naming the first
+    bound it leaves out."""
     lattices = [fx().lattice for fx in (l1, l2, l3)] + [make() for make in SMALL_LATTICES.values()]
-    derived = {}
-    monkeypatch.setattr(lattice, "build_lattice", None)
+    fields = ("elements", "covers", "bottom", "top", "positions", "up", "down", "meets", "joins")
     for lat in lattices:
         for low, high in itertools.product(lat.elements, repeat=2):
-            if lat.leq(low, high):
-                derived[lat, low, high] = lat.interval_lattice(IntervalSpec(low, high))
-                for low_open, high_open in ((True, False), (False, True), (True, True)):
-                    with pytest.raises(UnknownElement) as err:
-                        lat.interval_lattice(IntervalSpec(low, high, low_open, high_open))
-                    assert err.value.element == (low if low_open else high)
-    monkeypatch.undo()
-    fields = ("elements", "covers", "bottom", "top", "positions", "up", "down", "meets", "joins")
-    for (lat, low, high), sub in derived.items():
-        inside = lat.interval(IntervalSpec(low, high))
-        built = build_lattice(inside, [(a, b) for a, b in lat.covers if a in inside and b in inside], low, high)
-        for name in fields:
-            assert getattr(sub, name) == getattr(built, name), (low, high, name)
+            if not lat.leq(low, high):
+                continue
+            sub = lat.interval_lattice(IntervalSpec(low, high))
+            inside = lat.interval(IntervalSpec(low, high))
+            built = build_lattice(inside, [(a, b) for a, b in lat.covers if a in inside and b in inside], low, high)
+            for name in fields:
+                assert getattr(sub, name) == getattr(built, name), (low, high, name)
+            for low_open, high_open in ((True, False), (False, True), (True, True)):
+                with pytest.raises(UnknownElement) as err:
+                    lat.interval_lattice(IntervalSpec(low, high, low_open, high_open))
+                assert err.value.element == (low if low_open else high)
+
+
+@pytest.mark.parametrize("m", (1, 2, 9, 255, 256, 257, 300))
+def test_a_row_translated_by_a_padded_row_reads_it_at_each_entry(m):
+    """In either row form, past 256 positions too, row r translated by row
+    x plus its pad is x read at r's entries, a row of the same form, and a
+    slice of a row is a row."""
+    rng = random.Random(m)
+    r, x = ([rng.randrange(m) for _ in range(m)] for _ in range(2))
+    row = lattice.packed_positions(r, m)
+    table = lattice.packed_positions(x, m) + lattice.translation_pad(m)
+    got = row.translate(table)
+    assert list(got) == [x[i] for i in r]
+    assert got == lattice.packed_positions([x[i] for i in r], m)
+    assert list(row[1:].translate(table)) == [x[i] for i in r[1:]]
 
 
 @given(data=st.data())

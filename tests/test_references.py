@@ -413,7 +413,7 @@ def _naive_chain(n):
 
 @pytest.mark.parametrize("n", [256, 257])
 def test_validate_unary_matches_naive_on_long_chains(n):
-    """At 256 elements the rows are bytes, one past it tuples.  A join-with-k
+    """At 256 elements the rows are bytes, one past it wide rows.  A join-with-k
     closure and a meet-with-k interior operator on the chain, and one-value
     corruptions of each that fail axiom 1, 2 and 3."""
     lat = chain(n)
