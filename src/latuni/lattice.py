@@ -40,12 +40,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class IntervalSpec:
-    """A subinterval of a lattice, with independently open/closed ends."""
+    """The closed interval [low, high] of a lattice.  The open regions
+    around an element come from :func:`case_partition`."""
 
     low: str
     high: str
-    low_open: bool = False
-    high_open: bool = False
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -152,10 +151,6 @@ class BoundedLattice:
         if not self.up[lo] >> hi & 1:
             raise BoundsNotComparable(f"{spec.low!r} is not below {spec.high!r}")
         inside = self.up[lo] & self.down[hi]
-        if spec.low_open:
-            inside &= ~(1 << lo)
-        if spec.high_open:
-            inside &= ~(1 << hi)
         return tuple(x for i, x in enumerate(self.elements) if inside >> i & 1)
 
     def interval_lattice(self, spec: IntervalSpec) -> "BoundedLattice":
@@ -165,8 +160,7 @@ class BoundedLattice:
 
         It is :func:`build_lattice` of the interval's elements and the
         covers inside it, memoised: an interval is convex, so those covers
-        are its Hasse covers.  An open ``spec`` raises UnknownElement for
-        the first bound it leaves out.
+        are its Hasse covers.
         """
 
         def make():
@@ -176,16 +170,6 @@ class BoundedLattice:
             return build_lattice(dom, covers, spec.low, spec.high)
 
         return self.derived(("interval lattice", spec), make)
-
-    def incomparables(self, a) -> tuple[str, ...]:
-        """All elements incomparable with ``a``, in declared element order."""
-
-        def make():
-            i = self.index(a)
-            comparable = self.up[i] | self.down[i]
-            return tuple(x for j, x in enumerate(self.elements) if not comparable >> j & 1)
-
-        return self.derived(("incomparables", a), make)
 
     def dual(self) -> "BoundedLattice":
         """Order-reversed lattice: bounds swapped, meet and join exchanged.

@@ -157,8 +157,8 @@ def _slot_verdicts(spec: ConstructionSpec, pool: list) -> tuple:
 def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: str) -> Iterator[PartialBinOpTable]:
     """All t-norms or t-conorms on a small closed interval: the uninorms
     ``brute_force_uninorms`` finds and certifies on its interval lattice,
-    neutral at a bound, under that search's one cap.  A bad role or an
-    open domain raises ``role_neutral``'s ValueError first."""
+    neutral at a bound, under that search's one cap.  A bad role raises
+    ``role_neutral``'s ValueError first."""
     neutral = role_neutral(role, domain)
     # The cap is decided on the interval before its lattice is derived, so
     # a refused domain leaves no interval lattice in ``lat``'s memo.

@@ -1,9 +1,9 @@
 """Naive string-keyed references for the integer lattice kernel.
 
 The order is a set of id pairs, meets and joins are found by scanning
-every element (O(n^4)), and the operator, t-(co)norm and uninorm axioms
-and the uninorm class flags are checked by dict lookups on the map or
-table.  Nothing here uses
+every element (O(n^4)), the regions around e are read off the order, and
+the operator, t-(co)norm and uninorm axioms and the uninorm class flags
+are checked by dict lookups on the map or table.  Nothing here uses
 ``latuni.lattice``, ``latuni.unary`` or ``latuni.binop``;
 ``test_references.py`` compares the two.
 """
@@ -74,6 +74,26 @@ def naive_lattice(elements, covers, bottom, top):
                 raise NotALattice((x, y), "join")
             join[x, y] = lub[0]
     return leq, meet, join
+
+
+def naive_case_partition(elements, leq, bottom, top, e, strict) -> dict:
+    """The regions around e, each in declared order, keyed by the values
+    of ``RegionLabel``: e alone; the top alone in the strict family; the
+    bottom; ]0,e[; I_e, the elements incomparable with e; and what is
+    above e, ]e,1[ (strict) or ]e,1].  A region may be empty.
+    """
+    def region(inside):
+        return tuple(x for x in elements if inside(x))
+
+    bounds = {e, bottom, top} if strict else {e, bottom}
+    return {
+        "zero": region(lambda x: x == bottom != e),
+        "low_open": region(lambda x: x not in (bottom, e) and (x, e) in leq),
+        "e": (e,),
+        "inc": region(lambda x: (x, e) not in leq and (e, x) not in leq),
+        "high_open" if strict else "high_halfopen": region(lambda x: x not in bounds and (e, x) in leq),
+        "top": region(lambda x: strict and x == top != e),
+    }
 
 
 def naive_uninorm_report(elements, leq, t, e) -> dict:

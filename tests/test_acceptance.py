@@ -16,29 +16,27 @@ from latuni import (
     Family,
     FullBinOpTable,
     INTERIOR,
-    IntervalSpec,
     build_lattice,
     check_associativity_partitioned,
     check_characteristic,
-    check_hypotheses,
     classify,
     construct,
-    dualize_operator,
     identity_operator,
     join_tconorm,
     meet_tnorm,
     reference_karacal_mesiar,
-    render_table,
     validate_unary,
     validate_uninorm,
 )
 from latuni.cli import cli_main
-from latuni.fixtures import FIXTURES, chain, diamond, l1, m3, n5
+from latuni.fixtures import chain, diamond, l1, m3, n5
+from latuni.lattice import case_partition
 from latuni.search import (
     brute_force_uninorms,
     enumerate_admissible_pairs,
     enumerate_unary,
 )
+from family_specs import dual_spec, family_boundary
 from naive import associativity_witnesses
 from reference_tables import TABLES
 
@@ -109,12 +107,6 @@ def test_04_classification_witnesses(fx_l1, fx_l2):
     _verdict(4, "class membership and refutation witnesses", first_ok and second_ok)
 
 
-def _family_boundary(fx, family):
-    if family.closure_based:
-        return join_tconorm(fx.lattice, fx.e)
-    return meet_tnorm(fx.lattice, fx.e)
-
-
 # (admitted pairs, uninorms) of every fixture and family.
 IFF_COUNTS = {
     ("l1", "clo2"): (4731, 792),
@@ -144,7 +136,7 @@ def test_05_characteristic_conditions_are_iff(fx_l1, fx_l2, fx_l3):
     for fx in (fx_l1, fx_l2, fx_l3):
         els = fx.lattice.elements
         for family in Family:
-            boundary = _family_boundary(fx, family)
+            boundary = family_boundary(fx.lattice, fx.e, family)
             pairs = uninorms = 0
             for spec, char_pass in enumerate_admissible_pairs(
                 fx.lattice, fx.e, family, boundary
@@ -182,17 +174,6 @@ def test_06_necessity_counterexample(fx_l1):
     )
 
 
-def _dual_spec(spec, dual_family):
-    dual = spec.lattice.dual()
-    op_low = dualize_operator(spec.op_low, dual)
-    op_inc = dualize_operator(spec.op_inc, dual)
-    if dual_family.closure_based:
-        boundary = join_tconorm(dual, spec.e)
-    else:
-        boundary = meet_tnorm(dual, spec.e)
-    return ConstructionSpec(dual_family, dual, spec.e, boundary, op_low, op_inc)
-
-
 def test_07_duality_round_trip(fx_l1, fx_l2, fx_l3):
     pairs = [
         (fx_l1, Family.CLO, Family.INT),
@@ -202,7 +183,7 @@ def test_07_duality_round_trip(fx_l1, fx_l2, fx_l3):
     bad = 0
     checked = 0
     for fx, family, dual_family in pairs:
-        boundary = _family_boundary(fx, family)
+        boundary = family_boundary(fx.lattice, fx.e, family)
         for spec, char_pass in enumerate_admissible_pairs(
             fx.lattice, fx.e, family, boundary
         ):
@@ -210,7 +191,7 @@ def test_07_duality_round_trip(fx_l1, fx_l2, fx_l3):
                 continue
             checked += 1
             original = construct(spec)
-            mirrored = construct(_dual_spec(spec, dual_family))
+            mirrored = construct(dual_spec(spec, dual_family))
             if any(
                 mirrored(x, y) != original(x, y)
                 for x in fx.lattice.elements
@@ -267,13 +248,8 @@ def test_10_partitioned_associativity_equivalence():
     rng = random.Random(20240811)
     disagreements = 0
     for lat, e in ((m3(), "a"), (n5(), "b"), (chain(5), "c2")):
-        blocks = [
-            (lat.bottom,),
-            lat.interval(IntervalSpec(lat.bottom, e, True, True)),
-            (e,),
-            lat.incomparables(e),
-            lat.interval(IntervalSpec(e, lat.top, low_open=True)),
-        ]
+        # {bottom} / ]bottom,e[ / {e} / I_e / ]e,top]
+        blocks = [block for block in case_partition(lat, e, False).members.values() if block]
         for _ in range(200):
             table = {}
             for i, x in enumerate(lat.elements):

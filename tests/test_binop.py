@@ -29,20 +29,17 @@ from latuni.errors import (
     OutOfDomainOutput,
 )
 from latuni.fixtures import FIXTURES, chain, m3, n5
+from latuni.lattice import case_partition
 from latuni.search import enumerate_unary
-from naive import associativity_witnesses
+from family_specs import family_boundary
+from naive import associativity_witnesses, naive_lattice
 from reference_tables import L1_TABLE, L2_TABLE
 
 
 def partition_around(lat, e):
-    """{bottom} / ]bottom,e[ / {e} / incomparables / ]e,top]."""
-    return [
-        (lat.bottom,),
-        lat.interval(IntervalSpec(lat.bottom, e, True, True)),
-        (e,),
-        lat.incomparables(e),
-        lat.interval(IntervalSpec(e, lat.top, low_open=True)),
-    ]
+    """{bottom} / ]bottom,e[ / {e} / I_e / ]e,top], the non-empty regions
+    of the case partition around e in label order."""
+    return [block for block in case_partition(lat, e, False).members.values() if block]
 
 
 # -- partial tables ----------------------------------------------------------
@@ -218,7 +215,7 @@ def test_restriction_to_the_boundary_domain_is_the_boundary(name, family):
     # boundary t-conorm (or t-norm) on the boundary's domain.
     fx = FIXTURES[name]()
     lat = fx.lattice
-    boundary = join_tconorm(lat, fx.e) if family.closure_based else meet_tnorm(lat, fx.e)
+    boundary = family_boundary(lat, fx.e, family)
     dom = boundary.domain_elements
     # The admitted pairs of the first 8 operators of the family's kind.
     pool = list(islice(enumerate_unary(lat, family.kind), 8))
@@ -279,6 +276,26 @@ def test_partitioned_rejects_noncommutative(fx_l1):
         check_associativity_partitioned(table, [fx_l1.lattice.elements])
 
 
+# chain(3) in the blocks {c0} / {c1, c2}: the first failure of each table
+# below lies in a different case.  (c0, c0, c2) has two from one block on
+# the left; its mirror (c2, c0, c0), one element then two from another
+# block, fails too.  The second table fails only with all three in one
+# block.
+@pytest.mark.parametrize("cell, witness", [
+    (("c0", "c2"), ("c0", "c0", "c2")),
+    (("c1", "c2"), ("c1", "c2", "c2")),
+], ids=["two-of-one", "all-in-one"])
+def test_partitioned_finds_the_first_failure_of_each_case(cell, witness):
+    lat = chain(3)
+    table = {(x, y): "c0" for x in lat.elements for y in lat.elements}
+    table[cell] = table[cell[::-1]] = "c1"
+    candidate = FullBinOpTable(lat, table, neutral="c0")
+    ok, wit = check_associativity_partitioned(candidate, [("c0",), ("c1", "c2")])
+    full = associativity_witnesses(candidate)
+    assert not ok and wit == witness == full[0]
+    assert witness[::-1] in full
+
+
 def random_commutative_table(lat, rng):
     table = {}
     for i, x in enumerate(lat.elements):
@@ -335,8 +352,9 @@ def test_classify_flags_match_direct_reevaluation(fx_l1):
     lat = fx_l1.lattice
     u = FullBinOpTable(lat, dict(L1_TABLE), neutral="e")
     membership = classify(u)
-    above = lat.interval(IntervalSpec("e", "1", low_open=True))
-    below = lat.interval(IntervalSpec("0", "e", high_open=True))
+    leq = naive_lattice(lat.elements, lat.covers, lat.bottom, lat.top)[0]
+    above = [x for x in lat.elements if ("e", x) in leq and x != "e"]  # ]e,1]
+    below = [x for x in lat.elements if (x, "e") in leq and x != "e"]  # [0,e[
     direct = all(u(x, y) == y for x in above for y in below)
     assert membership["u_min_star"].member == direct
     for name, flag in membership.flags.items():

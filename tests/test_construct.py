@@ -9,7 +9,6 @@ from latuni import (
     TNORM,
     ConstructionSpec,
     Family,
-    FullBinOpTable,
     IntervalSpec,
     RegionLabel,
     build_lattice,
@@ -31,6 +30,8 @@ from latuni import (
 )
 from latuni.errors import HypothesesNotChecked, MismatchedLattice
 from latuni.search import enumerate_admissible_pairs, enumerate_unary
+from family_specs import dual_spec
+from naive import naive_case_partition, naive_lattice
 from reference_tables import INTERIOR_TABLES, TABLES
 from report_digest import report_digest
 
@@ -177,6 +178,13 @@ def test_hypotheses_fail_when_operators_swapped(fx_l1):
     assert not row.passed and row.witnesses[0] == "0"
     with pytest.raises(HypothesesNotChecked):
         check_characteristic(spec)
+
+
+def test_report_row_with_an_unknown_name_raises_key_error(fx_l1):
+    hyp = check_hypotheses(fx_l1.spec())
+    with pytest.raises(KeyError) as err:
+        hyp.row("range_low")  # a characteristic row, not a hypothesis
+    assert err.value.args == ("range_low",)
 
 
 def _row(name, statement, passed, witnesses=(), vacuous=False):
@@ -389,17 +397,23 @@ def test_neutral_row_and_boundary_block(fx_l1):
             assert u(x, y) == spec.boundary(x, y)
 
 
+def _naive_regions(lat, e):
+    """The closure-family regions around e, read off the naive order."""
+    leq = naive_lattice(lat.elements, lat.covers, lat.bottom, lat.top)[0]
+    return naive_case_partition(lat.elements, leq, lat.bottom, lat.top, e, False)
+
+
 def test_mixed_cells_follow_operator_formula(fx_l1):
     spec = fx_l1.spec()
     u = construct(spec)
     lat = spec.lattice
-    high_halfopen = lat.interval(IntervalSpec(spec.e, lat.top, low_open=True))
-    for x in lat.interval(IntervalSpec(lat.bottom, spec.e, True, True)):
-        for y in high_halfopen:
+    regions = _naive_regions(lat, spec.e)
+    for x in regions["low_open"]:
+        for y in regions["high_halfopen"]:
             assert u(x, y) == lat.meet(spec.op_low(x), lat.join(x, spec.e))
             assert not lat.leq("e", u(x, y))  # stays outside [e,1]
-    for x in lat.incomparables(spec.e):
-        for y in high_halfopen:
+    for x in regions["inc"]:
+        for y in regions["high_halfopen"]:
             assert u(x, y) == lat.meet(spec.op_inc(x), lat.join(x, spec.e))
             assert not lat.leq("e", u(x, y))
 
@@ -408,8 +422,8 @@ def test_remaining_cells_collapse_to_bottom(fx_l1):
     spec = fx_l1.spec()
     u = construct(spec)
     lat = spec.lattice
-    low_open = lat.interval(IntervalSpec(lat.bottom, spec.e, True, True))
-    outside = set(low_open) | set(lat.incomparables(spec.e)) | {lat.bottom}
+    regions = _naive_regions(lat, spec.e)
+    outside = regions["zero"] + regions["low_open"] + regions["inc"]
     for x in outside:
         for y in outside:
             assert u(x, y) == lat.bottom
@@ -453,6 +467,13 @@ def test_identity_interior_operators_collapse_to_classical_table(fx_l1):
     assert validate_uninorm(built).ok
 
 
+def test_reference_karacal_mesiar_rejects_a_bad_side(fx_l1):
+    for side in ("S", "st"):
+        with pytest.raises(ValueError) as err:
+            reference_karacal_mesiar(fx_l1.lattice, "e", fx_l1.tconorm, side)
+        assert str(err.value) == "side must be 's' or 't'"
+
+
 def test_identity_low_operator_only(fx_l1):
     lat = fx_l1.lattice
     ident = identity_operator(lat, CLOSURE)
@@ -463,18 +484,9 @@ def test_identity_low_operator_only(fx_l1):
 
 # -- duality ----------------------------------------------------------------
 
-def _dual_spec(fx, family):
-    lat = fx.lattice
-    dual = lat.dual()
-    op_low = dualize_operator(fx.cl1, dual)
-    op_inc = dualize_operator(fx.cl2, dual)
-    boundary = meet_tnorm(dual, fx.e)  # meet in the dual is the original join
-    return ConstructionSpec(family, dual, fx.e, boundary, op_low, op_inc)
-
-
 def test_interior_construction_is_dual_of_closure(fx_l1):
     original = construct(fx_l1.spec())
-    dual_table = construct(_dual_spec(fx_l1, Family.INT))
+    dual_table = construct(dual_spec(fx_l1.spec(), Family.INT))
     for x in fx_l1.lattice.elements:
         for y in fx_l1.lattice.elements:
             assert dual_table(x, y) == original(x, y)
@@ -482,7 +494,7 @@ def test_interior_construction_is_dual_of_closure(fx_l1):
 
 def test_strict_interior_construction_is_dual_of_strict_closure(fx_l3):
     original = construct(fx_l3.spec())
-    dual_table = construct(_dual_spec(fx_l3, Family.INT_STRICT))
+    dual_table = construct(dual_spec(fx_l3.spec(), Family.INT_STRICT))
     for x in fx_l3.lattice.elements:
         for y in fx_l3.lattice.elements:
             assert dual_table(x, y) == original(x, y)
@@ -495,7 +507,7 @@ def _rows(report):
 
 def test_dual_hypotheses_and_characteristic_agree(fx_l1, fx_l3):
     spec = fx_l1.spec()
-    dual = _dual_spec(fx_l1, Family.INT)
+    dual = dual_spec(fx_l1.spec(), Family.INT)
     assert check_hypotheses(dual).passed == check_hypotheses(spec).passed
     assert check_characteristic(dual).passed == check_characteristic(spec).passed
     # An interior spec against the closure spec built here on the dual

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from latuni import IntervalSpec, build_lattice, lattice
+from latuni import IntervalSpec, RegionLabel, build_lattice, lattice
 from latuni.errors import (
     BoundsNotComparable,
     InvalidArgument,
@@ -13,7 +13,8 @@ from latuni.errors import (
     NotBounded,
     UnknownElement,
 )
-from latuni.fixtures import SMALL_LATTICES, chain, diamond, l1, l2, l3
+from latuni.fixtures import SMALL_LATTICES, diamond, l1, l2, l3
+from naive import naive_case_partition, naive_lattice
 
 
 def test_build_diamond():
@@ -71,7 +72,7 @@ def test_leq_and_incomparables_on_l1(fx_l1):
     lat = fx_l1.lattice
     assert lat.leq("m", "j")
     assert not lat.leq("m", "e")
-    assert lat.incomparables("e") == ("m", "k", "s", "n")
+    assert lattice.case_partition(lat, "e", False).members[RegionLabel.INC] == ("m", "k", "s", "n")
     for x in lat.elements:
         assert lat.leq(x, x)
 
@@ -86,8 +87,8 @@ def test_meet_join_values(fx_l1, fx_l3):
 
 def test_intervals(fx_l1, fx_l3):
     lat = fx_l1.lattice
-    assert lat.interval(IntervalSpec("e", "1", low_open=True)) == ("j", "1")
-    assert fx_l3.lattice.interval(IntervalSpec("0", "e", True, True)) == ("r", "a")
+    assert lat.interval(IntervalSpec("e", "1")) == ("e", "j", "1")
+    assert fx_l3.lattice.interval(IntervalSpec("0", "e")) == ("0", "r", "a", "e")
     for x in lat.elements:
         assert lat.interval(IntervalSpec(x, x)) == (x,)
 
@@ -97,17 +98,11 @@ def test_interval_bounds_not_comparable(fx_l1):
         fx_l1.lattice.interval(IntervalSpec("e", "m"))
 
 
-def test_chain_has_no_incomparables():
-    lat = chain(5)
-    for x in lat.elements:
-        assert lat.incomparables(x) == ()
-
-
 def test_unknown_element_queries(fx_l1):
     with pytest.raises(UnknownElement):
         fx_l1.lattice.leq("zz", "e")
     with pytest.raises(UnknownElement):
-        fx_l1.lattice.incomparables("zz")
+        lattice.case_partition(fx_l1.lattice, "zz", False)
 
 
 def test_dual_involution(fx_l1):
@@ -182,25 +177,6 @@ class TestLatticeLaws:
                 assert lat.leq(x, y) == (lat.meet(x, y) == x)
                 assert lat.leq(x, y) == (lat.join(x, y) == y)
 
-    def test_open_interval_is_closed_minus_endpoints(self, fx_l1):
-        lat = fx_l1.lattice
-        for x in lat.elements:
-            for y in lat.elements:
-                if not lat.leq(x, y):
-                    continue
-                open_iv = set(lat.interval(IntervalSpec(x, y, True, True)))
-                closed = set(lat.interval(IntervalSpec(x, y)))
-                assert open_iv == closed - {x, y}
-
-    def test_incomparables_disjoint_from_principal_intervals(self, fx_l1, fx_l3):
-        for lat in (fx_l1.lattice, fx_l3.lattice):
-            for a in lat.elements:
-                inc = set(lat.incomparables(a))
-                below = set(lat.interval(IntervalSpec(lat.bottom, a)))
-                above = set(lat.interval(IntervalSpec(a, lat.top)))
-                assert not inc & below
-                assert not inc & above
-
 
 def test_interval_lattice_is_the_closed_interval(fx_l1, fx_l2, fx_l3, small_lattices):
     """Every closed interval [low, high] as a lattice of its own: its
@@ -226,8 +202,7 @@ def test_interval_lattice_is_the_closed_interval(fx_l1, fx_l2, fx_l3, small_latt
 
 def test_interval_lattice_equals_build_lattice_of_the_interval():
     """The interval lattice equals build_lattice of the same interval field
-    by field; an open interval raises UnknownElement naming the first
-    bound it leaves out."""
+    by field."""
     lattices = [fx().lattice for fx in (l1, l2, l3)] + [make() for make in SMALL_LATTICES.values()]
     fields = ("elements", "covers", "bottom", "top", "positions", "up", "down", "meets", "joins")
     for lat in lattices:
@@ -239,10 +214,20 @@ def test_interval_lattice_equals_build_lattice_of_the_interval():
             built = build_lattice(inside, [(a, b) for a, b in lat.covers if a in inside and b in inside], low, high)
             for name in fields:
                 assert getattr(sub, name) == getattr(built, name), (low, high, name)
-            for low_open, high_open in ((True, False), (False, True), (True, True)):
-                with pytest.raises(UnknownElement) as err:
-                    lat.interval_lattice(IntervalSpec(low, high, low_open, high_open))
-                assert err.value.element == (low if low_open else high)
+
+
+def test_case_partition_matches_naive_partition(fx_l1, fx_l2, fx_l3, small_lattices):
+    """Around every e, strict or not: each element's label, and each
+    region's members in declared order, as read off the naive order."""
+    for lat in [fx_l1.lattice, fx_l2.lattice, fx_l3.lattice, *small_lattices.values()]:
+        leq = naive_lattice(lat.elements, lat.covers, lat.bottom, lat.top)[0]
+        for e, strict in itertools.product(lat.elements, (False, True)):
+            expected = naive_case_partition(lat.elements, leq, lat.bottom, lat.top, e, strict)
+            partition = lattice.case_partition(lat, e, strict)
+            members = {label.value: xs for label, xs in partition.members.items() if xs}
+            assert members == {name: xs for name, xs in expected.items() if xs}, (e, strict)
+            label_of = {x: name for name, xs in expected.items() for x in xs}
+            assert [label.value for label in partition.labels] == [label_of[x] for x in lat.elements]
 
 
 @pytest.mark.parametrize("m", (1, 2, 9, 255, 256, 257, 300))

@@ -37,6 +37,7 @@ from latuni import (
 )
 from latuni.errors import AxiomViolation, LatuniError, UnknownElement
 from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, chain_product
+from latuni.lattice import case_partition
 from latuni.search import brute_force_uninorms, enumerate_admissible_pairs
 from naive import (
     naive_classify,
@@ -504,7 +505,7 @@ def test_lattice_queries_name_the_first_unknown_element(fx_l1):
         assert _unknown(order.interval, IntervalSpec("zz", "yy")) == "zz"
         assert _unknown(order.interval, IntervalSpec("0", "yy")) == "yy"
         assert _unknown(order.index, "zz") == "zz"
-        assert _unknown(order.incomparables, "zz") == "zz"
+        assert _unknown(case_partition, order, "zz", False) == "zz"
     assert lat.dual().dual() is lat
 
 

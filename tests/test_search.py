@@ -24,7 +24,6 @@ from latuni import (
     classify,
     construct,
     join_tconorm,
-    meet_tnorm,
     search,
     validate_partial,
     validate_uninorm,
@@ -45,6 +44,7 @@ from latuni.search import (
     enumerate_partial_binops,
     enumerate_unary,
 )
+from family_specs import family_boundary
 from naive import naive_lattice, naive_uninorm_report, naive_validate_partial
 from reference_tables import L1_TABLE, L2_TABLE
 from search_digest import search_digest
@@ -228,10 +228,6 @@ def reference_pairs(lat, e, family, boundary):
                 yield spec, check_characteristic(spec).passed
 
 
-def _family_boundary(lat, e, family):
-    return join_tconorm(lat, e) if family.closure_based else meet_tnorm(lat, e)
-
-
 def _certified_boundaries(lat, e, family):
     """Every certified boundary of the family at e, in enumeration order."""
     domain = IntervalSpec(e, lat.top) if family.closure_based else IntervalSpec(lat.bottom, e)
@@ -245,7 +241,7 @@ def _stream_lattice(name):
 def _other_boundaries(name, e, family):
     """The positions of the certified boundaries other than join/meet."""
     lat = _stream_lattice(name)
-    usual = _family_boundary(lat, e, family).table
+    usual = family_boundary(lat, e, family).table
     return [k for k, b in enumerate(_certified_boundaries(lat, e, family)) if b.table != usual]
 
 
@@ -277,7 +273,7 @@ def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at
     boundary by position; None is join/meet."""
     lat = _stream_lattice(name)
     if boundary_at is None:
-        boundary = _family_boundary(lat, e, family)
+        boundary = family_boundary(lat, e, family)
     else:
         boundary = _certified_boundaries(lat, e, family)[boundary_at]
 
@@ -299,7 +295,7 @@ def test_admissible_pairs_match_checking_every_pair(name, e, family, boundary_at
 @pytest.mark.parametrize("family", list(Family))
 def test_admissible_pairs_on_a_wrong_boundary_domain_are_none(fx_l2, family):
     lat = fx_l2.lattice
-    boundary = _family_boundary(lat, "a", family)
+    boundary = family_boundary(lat, "a", family)
     assert list(reference_pairs(lat, "e", family, boundary)) == []
     assert list(enumerate_admissible_pairs(lat, "e", family, boundary)) == []
 
@@ -316,12 +312,12 @@ def test_admission_checks_the_characteristic_once_per_pool_operator(fx_l2, famil
         return check_characteristic(spec)
 
     monkeypatch.setattr(search, "check_characteristic", counted)
-    boundary = _family_boundary(lat, "e", family)
+    boundary = family_boundary(lat, "e", family)
     pool = len(list(enumerate_unary(lat, family.kind)))
     pairs = list(enumerate_admissible_pairs(lat, "e", family, boundary))
     assert len(pairs) > pool and len(calls) == pool
     calls.clear()
-    assert list(enumerate_admissible_pairs(lat, "e", family, _family_boundary(lat, "a", family))) == []
+    assert list(enumerate_admissible_pairs(lat, "e", family, family_boundary(lat, "a", family))) == []
     assert calls == []
 
 
@@ -401,6 +397,25 @@ def _naive_leq(lat):
 SMALL_DFS_LATTICES = {name: make for name, make in SMALL_LATTICES.items() if len(make()) <= 4}
 
 
+def _declared_top_first(make):
+    """``make``'s lattice with its elements declared in reverse order.  That
+    is no linear extension of the order, so the table search also bounds a
+    cell by the filled cells of the rows above it."""
+    def rebuilt():
+        lat = make()
+        return build_lattice(lat.elements[::-1], lat.covers, lat.bottom, lat.top)
+    return rebuilt
+
+
+# The table search over declarations that are and that are not linear
+# extensions of the order.
+DFS_DECLARATIONS = {
+    **SMALL_DFS_LATTICES,
+    "chain4-top-first": _declared_top_first(SMALL_LATTICES["chain4"]),
+    "m2-top-first": _declared_top_first(SMALL_LATTICES["m2"]),
+}
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_DFS_LATTICES) + sorted(FIXTURES))
 def test_partial_binops_match_filtering_every_commutative_table(name):
     """On every interval of at most 4 elements, both roles: the search's
@@ -435,20 +450,19 @@ def test_partial_binops_match_filtering_every_commutative_table(name):
     assert intervals
 
 
-@pytest.mark.parametrize("low_open, high_open", [(True, False), (False, True)])
-@pytest.mark.parametrize("role", [TNORM, TCONORM])
-def test_partial_binops_on_an_open_domain_raise_before_the_search(role, low_open, high_open, monkeypatch):
-    """An open domain raises validate_partial's ValueError before the cap
-    (chain(7)'s [c0,c6] has 7 elements) and before any table is searched."""
+@pytest.mark.parametrize("role", ["TNORM", "t-norm"])
+def test_partial_binops_with_a_bad_role_raise_before_the_search(role, monkeypatch):
+    """A role other than tnorm and tconorm raises role_neutral's ValueError
+    before the cap (chain(7)'s [c0,c6] has 7 elements) and before any
+    table is searched, as it does in validate_partial."""
     monkeypatch.setattr(search, "_monotone_commutative_tables", None)
-    for lat, domain in ((chain(4), IntervalSpec("c1", "c3", low_open, high_open)),
-                        (chain(7), IntervalSpec("c0", "c6", low_open, high_open))):
+    for lat, domain in ((chain(4), IntervalSpec("c1", "c3")), (chain(7), IntervalSpec("c0", "c6"))):
         with pytest.raises(ValueError) as err:
             next(iter(enumerate_partial_binops(lat, domain, role)))
-        assert str(err.value) == "partial operation domains must be closed intervals"
+        assert str(err.value) == "role must be 'tnorm' or 'tconorm'"
         with pytest.raises(ValueError) as err:
             validate_partial(lat, domain, role, {})
-        assert str(err.value) == "partial operation domains must be closed intervals"
+        assert str(err.value) == "role must be 'tnorm' or 'tconorm'"
 
 
 def test_binop_guard(monkeypatch):
@@ -482,12 +496,12 @@ def test_brute_force_uninorms_are_valid_and_deterministic():
         assert report.ok and u.neutral == "a"
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_DFS_LATTICES))
+@pytest.mark.parametrize("name", sorted(DFS_DECLARATIONS))
 def test_brute_force_uninorms_match_filtering_every_commutative_table(name):
     """The search's leaves are exactly the monotone associative tables,
     and its uninorms the tables passing every axiom, both in lexicographic
     order."""
-    lat = SMALL_DFS_LATTICES[name]()
+    lat = DFS_DECLARATIONS[name]()
     leq = _naive_leq(lat)
     for e in lat.elements:
         tables = list(commutative_tables(lat.elements, e))
