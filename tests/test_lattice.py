@@ -13,7 +13,7 @@ from latuni.errors import (
     NotBounded,
     UnknownElement,
 )
-from latuni.fixtures import SMALL_LATTICES, diamond, l1, l2, l3
+from latuni.fixtures import SMALL_LATTICES, chain, diamond, l1, l2, l3
 from naive import naive_case_partition, naive_lattice
 
 
@@ -98,6 +98,12 @@ def test_interval_bounds_not_comparable(fx_l1):
         fx_l1.lattice.interval(IntervalSpec("e", "m"))
 
 
+def test_chain_has_no_incomparables():
+    lat = chain(5)
+    for e in lat.elements:
+        assert lattice.case_partition(lat, e, False).members[RegionLabel.INC] == ()
+
+
 def test_unknown_element_queries(fx_l1):
     with pytest.raises(UnknownElement):
         fx_l1.lattice.leq("zz", "e")
@@ -176,6 +182,16 @@ class TestLatticeLaws:
             for x, y in itertools.product(lat.elements, repeat=2):
                 assert lat.leq(x, y) == (lat.meet(x, y) == x)
                 assert lat.leq(x, y) == (lat.join(x, y) == y)
+
+    def test_incomparables_disjoint_from_principal_intervals(self, fx_l1, fx_l3):
+        """I_e, as the case partition names it, meets neither [0, e] nor [e, 1]."""
+        for lat in (fx_l1.lattice, fx_l3.lattice):
+            for a in lat.elements:
+                inc = set(lattice.case_partition(lat, a, False).members[RegionLabel.INC])
+                below = set(lat.interval(IntervalSpec(lat.bottom, a)))
+                above = set(lat.interval(IntervalSpec(a, lat.top)))
+                assert not inc & below
+                assert not inc & above
 
 
 def test_interval_lattice_is_the_closed_interval(fx_l1, fx_l2, fx_l3, small_lattices):

@@ -18,8 +18,10 @@ from latuni import (
     validate_unary,
 )
 from latuni.errors import AxiomViolation, MismatchedLattice, UnknownElement
+from latuni.fixtures import diamond
 from latuni.search import enumerate_unary
 from latuni.unary import order_of
+from naive import naive_lattice, naive_validate_unary
 
 
 def test_table_cl_operators_certify(fx_l1):
@@ -38,6 +40,32 @@ def test_identity_is_closure_and_interior(fx_l1):
     for kind in (CLOSURE, INTERIOR):
         op = identity_operator(fx_l1.lattice, kind)
         assert all(op(x) == x for x in fx_l1.lattice.elements)
+
+
+def _agrees_with_naive_on_diamond_maps(kind):
+    """Every self-map of M2 and of its dual, whose declared order runs from
+    the top down: validate_unary accepts exactly the maps the naive oracle
+    accepts, and otherwise names the same axiom and witness."""
+    for lat in (diamond(), diamond().dual()):
+        leq, meet, join = naive_lattice(lat.elements, lat.covers, lat.bottom, lat.top)
+        for values in itertools.product(lat.elements, repeat=len(lat.elements)):
+            mapping = dict(zip(lat.elements, values))
+            try:
+                naive_validate_unary(lat.elements, leq, meet, join, kind, mapping)
+            except AxiomViolation as expected:
+                with pytest.raises(AxiomViolation) as err:
+                    validate_unary(lat, kind, mapping)
+                assert (err.value.axiom, err.value.witnesses) == (expected.axiom, expected.witnesses)
+            else:
+                assert validate_unary(lat, kind, mapping).mapping == mapping
+
+
+def test_validator_agrees_with_brute_force_on_diamond_maps():
+    _agrees_with_naive_on_diamond_maps(CLOSURE)
+
+
+def test_interior_validator_agrees_with_brute_force_on_diamond_maps():
+    _agrees_with_naive_on_diamond_maps(INTERIOR)
 
 
 def test_violation_carries_named_axiom_and_witness(fx_l1):
