@@ -236,10 +236,10 @@ def region_of(spec: ConstructionSpec, x) -> RegionLabel:
     return label if spec.family.closure_based else _MIRROR[label]
 
 
-# The closure families' upper block [e,1], without the strict top, and the
-# regions whose operator values enter the table.
+# The closure families' upper block [e,1] without the strict top, and each
+# region whose operator values enter the table, with its operator's slot.
 _UPPER = {RegionLabel.E, RegionLabel.HIGH_HALFOPEN, RegionLabel.HIGH_OPEN}
-_OPERATED = {RegionLabel.LOW_OPEN, RegionLabel.INC}
+_OPERATED = {RegionLabel.LOW_OPEN: 0, RegionLabel.INC: 1}
 
 
 def _plan(lat: BoundedLattice, e: str, strict: bool):
@@ -252,16 +252,20 @@ def _plan(lat: BoundedLattice, e: str, strict: bool):
     op(a) ^ (a v e), with op_low on ]0,e[ and op_inc on I_e; every other
     cell is the bottom.
 
-    Cells are numbered row-major: ``base`` holds each cell's fixed value,
-    or None; ``boundary`` the cells taken from the boundary operation;
-    ``mixed`` each (cell, a) taking the row value of a; ``rows`` each
-    (a, region) whose row value is needed.  It holds no cell keys, to stay
-    small on every lattice a sweep visits.
+    Cells are numbered row-major, and the plan names each cell's source:
+    ``base`` holds each cell's fixed value, or None; ``boundary`` each
+    (cell, x, y) taken from the boundary operation at (x, y); ``mixed``
+    each (cell, i) taking the i-th row value; ``rows`` each (a, slot)
+    whose row value is needed, slot 0 for op_low and 1 for op_inc.  It
+    holds no key per cell, and arguments only for the [e,1] block, to
+    stay small on every lattice a sweep visits.
     """
 
     def make():
         els = lat.elements
         region = case_partition(lat, e, strict).labels
+        rows = tuple((a, _OPERATED[r]) for a, r in zip(els, region) if r in _OPERATED)
+        row_of = {a: i for i, (a, _) in enumerate(rows)}
         # The region tests, made once per element rather than once per cell.
         tested = [
             (x, r is RegionLabel.TOP, r in _UPPER, r is RegionLabel.E, r in _OPERATED)
@@ -275,44 +279,40 @@ def _plan(lat: BoundedLattice, e: str, strict: bool):
                 if top_x or top_y:
                     base[k] = lat.top
                 elif upper_x and upper_y:
-                    boundary.append(k)
+                    boundary.append((k, x, y))
                 elif e_x:
                     base[k] = y
                 elif e_y:
                     base[k] = x
                 elif operated_x and upper_y:
-                    mixed.append((k, x))
+                    mixed.append((k, row_of[x]))
                 elif operated_y and upper_x:
-                    mixed.append((k, y))
+                    mixed.append((k, row_of[y]))
                 else:
                     base[k] = lat.bottom
-        rows = tuple((a, r) for a, r in zip(els, region) if r in _OPERATED)
         return tuple(base), tuple(boundary), tuple(mixed), rows
 
     return lat.derived(("construct", e, strict), make)
 
 
 def construct(spec: ConstructionSpec) -> FullBinOpTable:
-    """Build the family's full table from the cell plan.
-
-    An interior spec is built in the dual order, with meet and join
-    exchanged.  Does not check the characteristic conditions: when they
-    fail, the returned table fails validate_uninorm with the expected
-    witnesses.
+    """Build the family's full table from the cell plan; the operator pair
+    enters only through its row values.  An interior spec is built in the
+    dual order, with meet and join exchanged.  Does not check the
+    characteristic conditions: when they fail, the returned table fails
+    validate_uninorm with the expected witnesses.
     """
     order, e = order_of(spec.lattice, spec.family.kind), spec.e
-    els = order.elements
-    n = len(els)
     base, boundary, mixed, rows = _plan(order, e, spec.family.strict)
-    ops = {RegionLabel.LOW_OPEN: spec.op_low, RegionLabel.INC: spec.op_inc}
+    ops = (spec.op_low, spec.op_inc)
     # op(a) ^ (a v e) does not depend on the column: one value per row a.
-    row_value = {a: order.meet(ops[r](a), order.join(a, e)) for a, r in rows}
+    row_values = [order.meet(ops[s](a), order.join(a, e)) for a, s in rows]
     values = list(base)
-    for k in boundary:
-        values[k] = spec.boundary(els[k // n], els[k % n])
-    for k, a in mixed:
-        values[k] = row_value[a]
-    return FullBinOpTable(spec.lattice, dict(zip(product(els, repeat=2), values)), neutral=e)
+    for k, x, y in boundary:
+        values[k] = spec.boundary(x, y)
+    for k, i in mixed:
+        values[k] = row_values[i]
+    return FullBinOpTable(spec.lattice, dict(zip(product(order.elements, repeat=2), values)), neutral=e)
 
 
 def reference_karacal_mesiar(lat: BoundedLattice, e: str, boundary: PartialBinOpTable, side: str) -> FullBinOpTable:

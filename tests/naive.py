@@ -3,9 +3,10 @@
 The order is a set of id pairs, meets and joins are found by scanning
 every element (O(n^4)), the regions around e are read off the order, and
 the operator, t-(co)norm and uninorm axioms and the uninorm class flags
-are checked by dict lookups on the map or table.  Nothing here uses
+are checked by dict lookups on the map or table, and a construction's
+table is filled cell by cell by the paper's rule.  Nothing here uses
 ``latuni.lattice``, ``latuni.unary`` or ``latuni.binop``;
-``test_references.py`` compares the two.
+``test_references.py`` and ``test_construct.py`` compare the two.
 """
 
 from latuni.errors import (
@@ -94,6 +95,51 @@ def naive_case_partition(elements, leq, bottom, top, e, strict) -> dict:
         "high_open" if strict else "high_halfopen": region(lambda x: x not in bounds and (e, x) in leq),
         "top": region(lambda x: strict and x == top != e),
     }
+
+
+def naive_construct(elements, leq, meet, join, e, closure, strict, boundary, op_low, op_inc) -> dict:
+    """The table of a construction by the paper's cell rule, keyed by (x, y).
+
+    ``leq``, ``meet`` and ``join`` are those of ``naive_lattice``, and
+    ``boundary``, ``op_low`` and ``op_inc`` are callables.  A closure
+    family, in the order ``leq``: the strict top annihilates; [e,1]², less
+    the strict top, takes the boundary; e is neutral; an operated a, op_low
+    on ]0,e[ and op_inc on I_e, against ]e,1] gives its row value
+    op(a) ^ (a v e); every other cell is the bottom.  An interior family
+    (``closure`` false) follows the same rule in the reversed order, with
+    meet and join swapped, so that [0,e] is its boundary block.
+    """
+    if not closure:
+        leq = {(y, x) for x, y in leq}
+        meet, join = join, meet
+    bottom = next(x for x in elements if all((x, y) in leq for y in elements))
+    top = next(x for x in elements if all((y, x) in leq for y in elements))
+
+    def upper(x):
+        return (e, x) in leq and not (strict and x == top)
+
+    def operator(a):
+        if a == bottom or (e, a) in leq:
+            return None
+        return op_low if (a, e) in leq else op_inc
+
+    ops = {a: operator(a) for a in elements}
+    table = {}
+    for x in elements:
+        for y in elements:
+            if strict and top in (x, y):
+                table[x, y] = top
+            elif upper(x) and upper(y):
+                table[x, y] = boundary(x, y)
+            elif x == e or y == e:
+                table[x, y] = y if x == e else x
+            elif ops[x] is not None and upper(y):
+                table[x, y] = meet[ops[x](x), join[x, e]]
+            elif ops[y] is not None and upper(x):
+                table[x, y] = meet[ops[y](y), join[y, e]]
+            else:
+                table[x, y] = bottom
+    return table
 
 
 def naive_uninorm_report(elements, leq, t, e) -> dict:

@@ -29,9 +29,12 @@ from latuni import (
     validate_uninorm,
 )
 from latuni.errors import HypothesesNotChecked, MismatchedLattice
+from latuni.fixtures import SMALL_LATTICES
 from latuni.search import enumerate_admissible_pairs, enumerate_unary
-from family_specs import dual_spec
-from naive import naive_case_partition, naive_lattice
+from family_specs import dual_spec, family_boundary
+from naive import naive_case_partition, naive_construct, naive_lattice
+from test_acceptance import IFF_COUNTS
+from test_search import _declared_top_first
 from reference_tables import INTERIOR_TABLES, TABLES
 from report_digest import report_digest
 
@@ -434,6 +437,127 @@ def test_strict_family_top_annihilates(fx_l3):
     lat = fx_l3.lattice
     for x in lat.elements:
         assert u(x, "1") == "1" and u("1", x) == "1"
+
+
+# -- row values and the naive cell rule --------------------------------------
+
+def row_value_key(lat, e, family):
+    """A function giving an admitted pair's row values, its class: op(a) ^
+    (a v e) over ]0,e[ and I_e for a closure family, op(a) v (a ^ e) over
+    ]e,1[ and I_e for an interior one.  The regions and values come from
+    the lattice's public leq, meet and join, not from the cell plan or the
+    case partition that ``construct`` reads."""
+    els = lat.elements
+    inc = [a for a in els if not lat.leq(a, e) and not lat.leq(e, a)]
+    if family.closure_based:
+        low = [a for a in els if a not in (lat.bottom, e) and lat.leq(a, e)]
+        value = lambda op, a: lat.meet(op(a), lat.join(a, e))
+    else:
+        low = [a for a in els if a not in (lat.top, e) and lat.leq(e, a)]
+        value = lambda op, a: lat.join(op(a), lat.meet(a, e))
+    return lambda spec: (
+        tuple(value(spec.op_low, a) for a in low), tuple(value(spec.op_inc, a) for a in inc)
+    )
+
+
+def admitted_pairs_with_keys(fx, family):
+    """(row values, spec, characteristic verdict) of every admitted pair of
+    fixture ``fx`` in ``family``, with the family's usual boundary."""
+    key = row_value_key(fx.lattice, fx.e, family)
+    boundary = family_boundary(fx.lattice, fx.e, family)
+    for spec, char_pass in enumerate_admissible_pairs(fx.lattice, fx.e, family, boundary):
+        yield key(spec), spec, char_pass
+
+
+# Row-value classes of each fixture's admitted pairs, in Family order.
+ROW_VALUE_CLASSES = {
+    "l1": (52, 14, 52, 14),
+    "l2": (26, 26, 26, 26),
+    "l3": (59, 36, 59, 36),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_VALUE_CLASSES))
+def test_tables_depend_on_the_pair_only_through_its_row_values(name, request):
+    """Every admitted pair builds the table, and has the characteristic
+    verdict, of the first pair with its row values."""
+    fx = request.getfixturevalue(f"fx_{name}")
+    classes, disagreements = [], []
+    for family in Family:
+        first, pairs = {}, 0
+        for key, spec, char_pass in admitted_pairs_with_keys(fx, family):
+            pairs += 1
+            got = (construct(spec), char_pass)
+            if first.setdefault(key, got) != got:
+                disagreements.append((family.value, key))
+        assert pairs == IFF_COUNTS[name, family.value][0]
+        classes.append(len(first))
+    assert disagreements == []
+    assert tuple(classes) == ROW_VALUE_CLASSES[name]
+
+
+def _naive_order(lat):
+    return naive_lattice(lat.elements, lat.covers, lat.bottom, lat.top)
+
+
+def first_differing_cell(spec, naive_order):
+    """The first cell, with both values, where ``construct`` differs from
+    ``naive_construct`` on ``naive_order``, the (leq, meet, join) of
+    ``naive_lattice`` on the spec's lattice; None when they agree."""
+    family = spec.family
+    expected = naive_construct(
+        spec.lattice.elements, *naive_order, spec.e, family.closure_based, family.strict,
+        spec.boundary, spec.op_low, spec.op_inc,
+    )
+    built = construct(spec).table
+    return next(((k, built[k], v) for k, v in expected.items() if built[k] != v), None)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_VALUE_CLASSES))
+def test_construct_matches_the_naive_cell_rule_on_each_row_value_class(name, request):
+    """The first admitted pair of each row-value class, in all four families."""
+    fx = request.getfixturevalue(f"fx_{name}")
+    naive_order = _naive_order(fx.lattice)
+    checked, bad = 0, []
+    for family in Family:
+        seen = set()
+        for key, spec, _ in admitted_pairs_with_keys(fx, family):
+            if key not in seen:
+                seen.add(key)
+                checked += 1
+                diff = first_differing_cell(spec, naive_order)
+                if diff:
+                    bad.append((family.value, key, diff))
+    assert bad == []
+    assert checked == sum(ROW_VALUE_CLASSES[name])
+
+
+SMALL_DECLARATIONS = {
+    **SMALL_LATTICES,
+    **{f"{name}-top-first": _declared_top_first(make) for name, make in SMALL_LATTICES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DECLARATIONS))
+def test_construct_matches_the_naive_cell_rule_on_small_lattices(name):
+    """Every admitted pair at every interior e, in all four families, with
+    the join or meet boundary, on declarations that are and that are not
+    linear extensions of the order."""
+    lat = SMALL_DECLARATIONS[name]()
+    naive_order = _naive_order(lat)
+    checked, bad = 0, []
+    for e in lat.elements:
+        if e in (lat.bottom, lat.top):
+            continue
+        for family in Family:
+            boundary = family_boundary(lat, e, family)
+            for spec, _ in enumerate_admissible_pairs(lat, e, family, boundary):
+                checked += 1
+                diff = first_differing_cell(spec, naive_order)
+                if diff:
+                    bad.append((e, family.value, spec.op_low.image, spec.op_inc.image, diff))
+    assert bad == []
+    assert checked > 0
 
 
 # -- degenerate collapses ----------------------------------------------------
