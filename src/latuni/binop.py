@@ -3,16 +3,19 @@
 Full tables carry no algebraic guarantees: :func:`validate_uninorm`
 produces an AxiomReport whose witnesses, when present, refute the axiom
 on re-evaluation, and a :class:`Uninorm` is a full table built after that
-report passed.  A t-norm or t-conorm on a closed interval is a uninorm on
-the interval's own lattice, with its neutral element at a bound, so
-:func:`validate_partial` certifies a partial table by running
-:func:`validate_uninorm` there.  All scans run row-major over declared
-element order so the first witness is reproducible.
+report passed on its positions.  A t-norm or t-conorm on a closed
+interval is a uninorm on the interval's own lattice, with its neutral
+element at a bound, so :func:`validate_partial` certifies a partial table
+by running :func:`validate_uninorm` there.  All scans run row-major over
+declared element order so the first witness is reproducible.
 
-:func:`validate_uninorm` reads a table on positions as rows and columns,
-in the form ``lattice.packed_positions`` chooses: the associativity scan
-composes two rows with one ``translate`` (one C call on the ``bytes``
-rows of up to 256 elements) and compares rows in one compare.
+:func:`validate_uninorm` reads an id-keyed table into positions and hands
+them to :func:`axiom_report`, which holds the one copy of the four scans;
+the table search hands its leaves, already positions, to it directly.  It
+reads a table as rows and columns, in the form
+``lattice.packed_positions`` chooses: the associativity scan composes two
+rows with one ``translate`` (one C call on the ``bytes`` rows of up to 256
+elements) and compares rows in one compare.
 """
 
 from __future__ import annotations
@@ -94,11 +97,11 @@ class FullBinOpTable:
 
 
 class Uninorm(FullBinOpTable):
-    """A full table that :func:`validate_uninorm` has certified.
+    """A full table that :func:`axiom_report` has certified.
 
-    ``brute_force_uninorms`` builds one only after the check passes, and
-    :func:`classify` reads it as a uninorm without checking it again: build
-    one from no other table.
+    ``brute_force_uninorms`` builds one only after the report on the
+    positions it is built from passes, and :func:`classify` reads it as a
+    uninorm without checking it again: build one from no other table.
     """
 
 
@@ -219,15 +222,26 @@ def meet_tnorm(lat: BoundedLattice, high: str) -> PartialBinOpTable:
 def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
     """Exhaustively check the four uninorm axioms; failures are data.
 
-    The table is read once into lattice positions, as packed rows and
-    columns; every scan then runs row-major over declared element order,
-    so each witness is the first violation in that order.
+    The table is read once into lattice positions (:func:`_positions`),
+    then its neutral element, and :func:`axiom_report` decides the axioms
+    on those positions.
     """
     lat = candidate.lattice
-    els = lat.elements
-    t = _positions(lat, els, candidate.table)
+    t = _positions(lat, lat.elements, candidate.table)
     if candidate.neutral not in lat:
         raise UnknownElement(candidate.neutral)
+    return axiom_report(lat, t, lat.positions[candidate.neutral])
+
+
+def axiom_report(lat: BoundedLattice, t, e: int) -> AxiomReport:
+    """The four uninorm axioms of a table on ``lat``'s positions.
+
+    ``t`` holds t(x, y) at ``x * m + y``, row-major, and ``e`` is the
+    neutral element's position.  The table is read as packed rows and
+    columns; every scan then runs row-major over declared element order,
+    so each witness is the first violation in that order, as ids.
+    """
+    els = lat.elements
     rows, cols = _rows_and_columns(t, len(els))
     commutative = _commutative_witness(rows, cols)
     # Monotone in both arguments: the earlier of the first violations in
@@ -248,11 +262,11 @@ def validate_uninorm(candidate: FullBinOpTable) -> AxiomReport:
         check(commutative),
         check(_associative_witness(rows)),
         check(monotone),
-        check(_neutral_witness(rows, cols, lat.positions[candidate.neutral])),
+        check(_neutral_witness(rows, cols, e)),
     )
 
 
-# The axiom scans of validate_uninorm.  They read a table on positions
+# The axiom scans of axiom_report.  They read a table on positions
 # 0..m-1 as its rows (rows[x][y] = t(x, y)) and columns (cols[y][x] =
 # t(x, y)), both packed by packed_positions, and return the first
 # witness, as positions, or None.

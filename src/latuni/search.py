@@ -10,8 +10,10 @@ commutativity and monotonicity as it goes, and decides associativity
 row by row: when a row completes it is stored once as ``bytes``, each
 triple it makes final is one ``bytes.translate`` of a stored row and one
 compare, and a failing subtree is cut.  So every complete
-table is associative, and only those are built and certified, once,
-by ``brute_force_uninorms``.  A t-(co)norm is a uninorm on its domain's
+table is associative, and only those reach ``brute_force_uninorms``, as
+positions, which certifies each with ``binop.axiom_report``, the one copy
+of ``validate_uninorm``'s scans, and builds the id-keyed table of each
+uninorm once.  A t-(co)norm is a uninorm on its domain's
 interval lattice, so the t-(co)norm search is that search there, under
 its one cap, ``MAX_UNINORM_LATTICE``.  Pair admission decides each
 hypothesis once, where it varies: the boundary's domain once per run,
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator
 
-from .binop import FullBinOpTable, PartialBinOpTable, Uninorm, role_neutral, validate_uninorm
+from .binop import PartialBinOpTable, Uninorm, axiom_report, role_neutral
 from .construct import (
     ConstructionSpec,
     Family,
@@ -167,9 +169,10 @@ def enumerate_partial_binops(lat: BoundedLattice, domain: IntervalSpec, role: st
         yield PartialBinOpTable(lat, domain, role, u.table)
 
 
-def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]:
+def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[bytes]:
     """Every associative commutative table on ``lat`` with identity
-    ``neutral`` whose partial fillings all stay monotone.
+    ``neutral``, an element of ``lat``, whose partial fillings all stay
+    monotone, as the ``bytes`` of its positions in row-major order.
 
     Depth-first over the cells off the neutral row and column, upper
     triangle in row-major order, walked with an explicit stack: ``masks[c]``
@@ -194,25 +197,21 @@ def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]
     (:func:`_row_associative`).  The filling is pruned on the first pair,
     new with row i, that fails.  Triples through the neutral element hold,
     and after the last row every triple has been checked, so each leaf is
-    associative; it is built into an id-keyed table from the cell keys,
-    listed once per search, and yielded for ``brute_force_uninorms`` to
-    certify.
+    associative.  It is yielded as a snapshot of the position list, which
+    the search goes on to change, for ``brute_force_uninorms`` to certify.
     """
-    if neutral not in lat:
-        raise UnknownElement(neutral)
-    els, up, down = lat.elements, lat.up, lat.down
-    m = len(els)
+    up, down = lat.up, lat.down
+    m = len(lat)
     e = lat.positions[neutral]
     t = [0] * (m * m)
     for k in range(m):
         t[e * m + k] = t[k * m + e] = k
-    keys = [(x, y) for x in els for y in els]
     # Each cell with the row it completes if it is that row's last cell,
     # else -1.
     last = m - 2 if e == m - 1 else m - 1
     cells = [(i, j, i if j == last else -1) for i in range(m) for j in range(i, m) if e not in (i, j)]
     if not cells:
-        yield dict(zip(keys, map(els.__getitem__, t)))
+        yield bytes(t)
         return
     # For cell c: the neutral row's share of its mask, and the offsets of
     # the filled cells whose values bound it from below and from above.  At
@@ -263,7 +262,7 @@ def _monotone_commutative_tables(lat: BoundedLattice, neutral) -> Iterator[dict]
             if not _row_associative(rows, tables, k, e):
                 continue
         if c == final:
-            yield dict(zip(keys, map(els.__getitem__, t)))
+            yield bytes(t)
             continue
         c += 1
         mask = bases[c]
@@ -306,13 +305,21 @@ def _check_uninorm_cap(size: int) -> None:
 def brute_force_uninorms(lat: BoundedLattice, e: str) -> Iterator[Uninorm]:
     """Every commutative total table with neutral e passing all axioms.
 
-    The table search yields only the monotone associative tables, and each
-    is still certified by ``validate_uninorm`` before it is yielded as a
-    :class:`Uninorm`, which ``classify`` then reads without a second check.
-    Ground truth for class-inclusion and construction-coverage tests;
-    guarded to tiny lattices.
+    The table search yields only the monotone associative tables, on
+    positions, and each is still certified on those positions by
+    ``validate_uninorm``'s scans (``binop.axiom_report``).  Only then is
+    its id-keyed table built, from cell keys listed once per search, and
+    yielded as a :class:`Uninorm`, which ``classify`` reads without a
+    second check.  Ground truth for class-inclusion and
+    construction-coverage tests; guarded to tiny lattices.  A lattice past
+    the cap raises LatticeTooLarge, then an e outside it UnknownElement.
     """
     _check_uninorm_cap(len(lat))
-    for table in _monotone_commutative_tables(lat, e):
-        if validate_uninorm(FullBinOpTable(lat, table, neutral=e)).ok:
-            yield Uninorm(lat, table, e)
+    if e not in lat:
+        raise UnknownElement(e)
+    els = lat.elements
+    keys = [(x, y) for x in els for y in els]
+    position = lat.positions[e]
+    for t in _monotone_commutative_tables(lat, e):
+        if axiom_report(lat, t, position).ok:
+            yield Uninorm(lat, dict(zip(keys, map(els.__getitem__, t))), e)

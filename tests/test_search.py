@@ -38,6 +38,7 @@ from latuni.errors import (
 )
 from latuni.fixtures import FIXTURES, SMALL_LATTICES, chain, chain_product, diamond, m3, n5
 from latuni.search import (
+    MAX_UNARY_LATTICE,
     _monotone_commutative_tables,
     brute_force_uninorms,
     enumerate_admissible_pairs,
@@ -133,6 +134,51 @@ def test_interior_enumeration_duals_closure_enumeration():
 def test_unary_guard():
     with pytest.raises(LatticeTooLarge):
         next(iter(enumerate_unary(chain(13), CLOSURE)))
+
+
+def test_chains_have_two_to_the_n_minus_one_operators_of_each_kind():
+    """A closure operator on a chain sends x to the least fixed point above
+    it, so it is fixed by its set of fixed points, which may be any set
+    holding the top: chain(n) has 2**(n - 1), and dually as many interior
+    operators, for every n up to the cap."""
+    for n in range(2, MAX_UNARY_LATTICE + 1):
+        lat = chain(n)
+        for kind in (CLOSURE, INTERIOR):
+            assert sum(1 for _ in enumerate_unary(lat, kind)) == 2 ** (n - 1), (n, kind)
+
+
+def boolean_lattice(k):
+    """B_k, the subsets of k points under inclusion, each named by its
+    bitmask: s0 is the empty set and s{2**k - 1} the whole."""
+    names = [f"s{mask}" for mask in range(1 << k)]
+    covers = [(names[mask], names[mask | 1 << i]) for mask in range(1 << k) for i in range(k) if not mask >> i & 1]
+    return build_lattice(names, covers, names[0], names[-1])
+
+
+def labelled_preorders(k):
+    """How many reflexive transitive relations there are on k points, by
+    trying every relation that holds the diagonal."""
+    off = [(a, b) for a in range(k) for b in range(k) if a != b]
+    count = 0
+    for bits in itertools.product((False, True), repeat=len(off)):
+        rel = {p for p, on in zip(off, bits) if on} | {(a, a) for a in range(k)}
+        count += all((a, d) in rel for a, b in rel for c, d in rel if b == c)
+    return count
+
+
+@pytest.mark.parametrize("k, operators, preorders", [(1, 2, 1), (2, 7, 4), (3, 45, 29)])
+def test_boolean_lattice_operators_fixing_a_bound_are_the_labelled_preorders(k, operators, preorders):
+    """B_k has 2, 7 and 45 closure operators for k = 1, 2, 3.  One with
+    c(0) = 0 preserves joins, so its values on the k atoms fix it, and
+    "b <= c(a)" on atoms is reflexive (CL1) and transitive (CL3): those
+    operators are the labelled preorders on k points (OEIS A000798).  B_k
+    is self-dual, so the interior operators with c(1) = 1 number the same."""
+    assert labelled_preorders(k) == preorders
+    lat = boolean_lattice(k)
+    for kind, bound in ((CLOSURE, lat.bottom), (INTERIOR, lat.top)):
+        ops = list(enumerate_unary(lat, kind))
+        assert len(ops) == operators, kind
+        assert sum(op(bound) == bound for op in ops) == preorders, kind
 
 
 def _unary_search_lattices():
@@ -392,6 +438,19 @@ def _naive_leq(lat):
     return naive_lattice(lat.elements, lat.covers, lat.bottom, lat.top)[0]
 
 
+def leaf_tables(lat, neutral):
+    """The table search's leaves on ``lat`` with identity ``neutral`` as
+    id-keyed tables.  Each leaf is ``bytes``, so no later leaf can change
+    it, and holds t(x, y) at x * m + y, over positions in declared order."""
+    els = lat.elements
+    m = len(els)
+    tables = []
+    for leaf in _monotone_commutative_tables(lat, neutral):
+        assert isinstance(leaf, bytes) and len(leaf) == m * m
+        tables.append({(x, y): els[leaf[i * m + j]] for i, x in enumerate(els) for j, y in enumerate(els)})
+    return tables
+
+
 # The members of SMALL_LATTICES with at most 4 elements: at most 4**6
 # commutative tables for each neutral element.
 SMALL_DFS_LATTICES = {name: make for name, make in SMALL_LATTICES.items() if len(make()) <= 4}
@@ -444,7 +503,7 @@ def test_partial_binops_match_filtering_every_commutative_table(name):
                 except AxiomViolation:
                     continue
                 expected.append(table)
-            assert list(_monotone_commutative_tables(lat.interval_lattice(domain), neutral)) == leaves, (low, high, role)
+            assert leaf_tables(lat.interval_lattice(domain), neutral) == leaves, (low, high, role)
             got = [p.table for p in enumerate_partial_binops(lat, domain, role)]
             assert got == expected, (low, high, role)
     assert intervals
@@ -514,16 +573,17 @@ def test_brute_force_uninorms_match_filtering_every_commutative_table(name):
             table for table, report in zip(tables, reports)
             if all(check["ok"] for check in report.values())
         ]
-        assert list(_monotone_commutative_tables(lat, e)) == leaves, e
+        assert leaf_tables(lat, e) == leaves, e
         got = list(brute_force_uninorms(lat, e))
         assert [u.table for u in got] == expected and all(u.neutral == e for u in got), e
 
 
 def test_searches_certify_only_the_tables_they_yield(monkeypatch):
     """The table search rejects the non-associative leaves itself, and a
-    t-(co)norm is a uninorm on its interval lattice, so each
-    validate_uninorm call certifies a uninorm or a t-(co)norm that is then
-    yielded, and validate_partial is never called."""
+    t-(co)norm is a uninorm on its interval lattice, so each axiom_report
+    call, from the search or through validate_uninorm, certifies a uninorm
+    or a t-(co)norm that is then yielded, and validate_partial is never
+    called."""
     calls = {"uninorm": 0, "partial": 0}
 
     def counting(name, validator):
@@ -532,7 +592,9 @@ def test_searches_certify_only_the_tables_they_yield(monkeypatch):
             return validator(*args)
         return counted
 
-    monkeypatch.setattr(search, "validate_uninorm", counting("uninorm", search.validate_uninorm))
+    counted_report = counting("uninorm", binop.axiom_report)
+    monkeypatch.setattr(search, "axiom_report", counted_report)
+    monkeypatch.setattr(binop, "axiom_report", counted_report)
     monkeypatch.setattr(binop, "validate_partial", counting("partial", binop.validate_partial))
     uninorms = partials = 0
     for make in SMALL_LATTICES.values():
@@ -547,6 +609,39 @@ def test_searches_certify_only_the_tables_they_yield(monkeypatch):
                 partials += len(list(enumerate_partial_binops(lat, domain, role)))
     assert uninorms and partials and calls["uninorm"] == uninorms + partials
     assert calls["partial"] == 0 and not hasattr(search, "validate_partial")
+
+
+def test_searches_drop_a_leaf_that_fails_certification(monkeypatch):
+    """Certification is no formality.  A table search that hands over,
+    after its first leaf, a copy of it with one cell off e and off the
+    diagonal changed, so that the copy is not commutative, changes nothing
+    brute_force_uninorms yields at any e strictly inside a small lattice,
+    or enumerate_partial_binops yields on chain(5)'s [c0,c4]."""
+    real = search._monotone_commutative_tables
+    copies = []
+
+    def with_a_broken_copy(lat, neutral):
+        m, e = len(lat), lat.positions[neutral]
+        x, y = next((x, y) for x in range(m) for y in range(m) if x != y and e not in (x, y))
+        for k, leaf in enumerate(real(lat, neutral)):
+            yield leaf
+            if k == 0:
+                broken = bytearray(leaf)
+                broken[x * m + y] = (leaf[x * m + y] + 1) % m
+                copies.append(bytes(broken))
+                yield copies[-1]
+
+    searches = [(lat, e) for lat in (make() for make in SMALL_LATTICES.values()) for e in lat.elements[1:-1]]
+    five, domain = chain(5), IntervalSpec("c0", "c4")
+
+    def found():
+        uninorms = [list(brute_force_uninorms(lat, e)) for lat, e in searches]
+        return uninorms, [list(enumerate_partial_binops(five, domain, role)) for role in (TNORM, TCONORM)]
+
+    expected = found()
+    monkeypatch.setattr(search, "_monotone_commutative_tables", with_a_broken_copy)
+    assert found() == expected
+    assert len(copies) == len(searches) + 2
 
 
 def test_table_searches_ask_the_order_nothing(monkeypatch):
@@ -653,7 +748,7 @@ def test_table_search_past_the_uninorm_cap(make, counts):
     leq = _naive_leq(lat)
     found = []
     for e in lat.elements[1:-1]:
-        tables = list(_monotone_commutative_tables(lat, e))
+        tables = leaf_tables(lat, e)
         for table in tables:
             assert validate_uninorm(FullBinOpTable(lat, table, neutral=e)).ok, (e, table)
             assert all(check["ok"] for check in naive_uninorm_report(lat.elements, leq, table, e).values())
@@ -672,7 +767,7 @@ def test_table_search_order_past_the_uninorm_cap():
         els = lat.elements
         found = []
         for e in els[1:-1]:
-            tables = list(_monotone_commutative_tables(lat, e))
+            tables = leaf_tables(lat, e)
             for table in tables:
                 digest.update(json.dumps([e, [table[x, y] for x in els for y in els]]).encode() + b"\n")
             found.append(len(tables))
@@ -708,13 +803,41 @@ def test_table_search_prunes_at_pinned_row_ends(monkeypatch):
     assert found == [(1894, 1068), (1982, 829), (2886, 1171), (17040, 5008)]
 
 
-def test_constructed_tables_appear_in_brute_force(fx_l1):
-    lat = diamond()
-    boundary = join_tconorm(lat, "a")
-    everything = list(brute_force_uninorms(lat, "a"))
-    for spec, char_pass in enumerate_admissible_pairs(lat, "a", Family.CLO, boundary):
-        if char_pass:
-            assert construct(spec) in everything
+# For each SMALL_LATTICES member: the distinct (e, table) pairs that the
+# characteristic-passing pairs build over all four families, the uninorms
+# brute force finds, and each family's distinct (e, table) pairs, in
+# clo2, int2, clo2-strict, int2-strict order; e runs strictly inside.
+COVERAGE = {
+    "chain3": (2, 2, [1, 1, 1, 1]),
+    "chain4": (8, 10, [2, 2, 2, 2]),
+    "chain5": (14, 48, [4, 4, 3, 3]),
+    "m2": (8, 22, [2, 2, 2, 2]),
+    "m3": (12, 222, [3, 3, 3, 3]),
+    "n5": (14, 94, [4, 4, 3, 3]),
+}
+
+
+def test_constructed_tables_appear_in_brute_force():
+    """Every table a characteristic-passing pair builds, in all four
+    families with the join t-conorm or meet t-norm as boundary, is among
+    the uninorms brute_force_uninorms finds at its e, on every small
+    lattice at every e strictly between the bounds; the counts are pinned."""
+    got = {}
+    for name, make in SMALL_LATTICES.items():
+        lat = make()
+        brute, tables = 0, {family: set() for family in Family}
+        for e in lat.elements[1:-1]:
+            uninorms = list(brute_force_uninorms(lat, e))
+            brute += len(uninorms)
+            for family in Family:
+                for spec, char_pass in enumerate_admissible_pairs(lat, e, family, family_boundary(lat, e, family)):
+                    if char_pass:
+                        table = construct(spec)
+                        assert table in uninorms, (name, e, family)
+                        tables[family].add(table)
+        got[name] = (len(set().union(*tables.values())), brute, [len(tables[family]) for family in Family])
+    assert got == COVERAGE
+    assert sum(c[0] for c in got.values()) == 58 and sum(c[1] for c in got.values()) == 398
 
 
 @pytest.mark.parametrize("factory,e", [(diamond, "a"), (n5, "b"), (n5, "c")])
